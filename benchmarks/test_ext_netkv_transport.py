@@ -1,113 +1,44 @@
-"""Extension bench: buffered vs byte-at-a-time NetKV frame reads.
+"""Extension bench: many small NetKV GETs from one blocking caller.
 
-The transport hardening replaced the one-``recv()``-per-byte header
-loop with a chunked :class:`_RecvBuffer` on both client and server.
-This bench quantifies the win two ways:
-
-1. a reader micro-benchmark: parse a stream of small response frames
-   off a socketpair with each reader implementation;
-2. end-to-end: many-small-GET throughput through the real server,
-   which pays the reader cost twice per round trip (request header at
-   the server, response header at the client).
+One caller thread issues single-key GETs through an
+:class:`~repro.datastore.aio.AsyncClientChannel`, one round trip at a
+time, so every GET pays the full wire cost: the request header parsed
+by the server, the response header parsed by the client, and the hop
+between the caller thread and the channel's event loop.
 
 The paper's >12x CG→continuum feedback speed-up (§5.1, Fig. 7) rides
 on exactly this workload shape — thousands of tiny key reads per
-iteration — so the header read must not dominate the round trip.
+iteration — so the per-GET round trip must not dominate.
 """
 
-import socket
-import threading
 import time
 
 from conftest import report
 
-from repro.datastore.netkv import (
-    NetKVClient,
-    NetKVServer,
-    _RecvBuffer,
-    _recv_exact_unbuffered,
-    _recv_line_unbuffered,
-)
-
-N_FRAMES = 20_000
-PAYLOAD = b"x" * 16
-FRAME = b"OK %d\n%s" % (len(PAYLOAD), PAYLOAD)
+from repro.datastore.aio import AsyncClientChannel
+from repro.datastore.netkv import NetKVServer, TransportConfig
 
 
-def _feed(sock, data):
+def test_many_small_gets_end_to_end():
+    nkeys, nreads = 500, 4000
+    server = NetKVServer().start()
+    client = AsyncClientChannel(server.address, TransportConfig())
     try:
-        sock.sendall(data)
-    finally:
-        sock.close()
-
-
-def _time_reader(read_frames):
-    """Feed N_FRAMES small frames through a socketpair; time the reader."""
-    left, right = socket.socketpair()
-    feeder = threading.Thread(target=_feed, args=(left, FRAME * N_FRAMES),
-                              daemon=True)
-    feeder.start()
-    t0 = time.perf_counter()
-    read_frames(right)
-    elapsed = time.perf_counter() - t0
-    feeder.join()
-    right.close()
-    return elapsed
-
-
-def _read_unbuffered(sock):
-    for _ in range(N_FRAMES):
-        header = _recv_line_unbuffered(sock)
-        n = int(header[3:])
-        _recv_exact_unbuffered(sock, n)
-
-
-def _read_buffered(sock):
-    buf = _RecvBuffer(sock)
-    for _ in range(N_FRAMES):
-        header = buf.recv_line()
-        n = int(header[3:])
-        buf.recv_exact(n)
-
-
-class TestBufferedReaderWin:
-    def test_reader_microbench(self):
-        t_unbuf = _time_reader(_read_unbuffered)
-        t_buf = _time_reader(_read_buffered)
-        speedup = t_unbuf / t_buf
-        report("ext_netkv_reader", [
-            f"frames               {N_FRAMES}",
-            f"byte-at-a-time       {t_unbuf:.3f} s "
-            f"({N_FRAMES / t_unbuf:,.0f} frames/s)",
-            f"buffered             {t_buf:.3f} s "
-            f"({N_FRAMES / t_buf:,.0f} frames/s)",
-            f"speedup              {speedup:.1f}x",
+        for i in range(nkeys):
+            client.set(f"small/{i:04d}", b"v" * 24)
+        t0 = time.perf_counter()
+        for i in range(nreads):
+            client.get(f"small/{i % nkeys:04d}")
+        elapsed = time.perf_counter() - t0
+        lat = client.stats.latency
+        report("ext_netkv_small_gets", [
+            f"reads                {nreads}",
+            f"elapsed              {elapsed:.3f} s",
+            f"throughput           {nreads / elapsed:,.0f} GETs/s",
+            f"round-trip p50       <= {lat.quantile_ms(0.5):.2f} ms",
+            f"round-trip p99       <= {lat.quantile_ms(0.99):.2f} ms",
         ])
-        # The buffered reader replaces ~22 recv() syscalls per frame
-        # with amortized fractions of one; anything under 2x means the
-        # optimization regressed.
-        assert speedup > 2.0
-
-    def test_many_small_gets_end_to_end(self):
-        nkeys, nreads = 500, 4000
-        server = NetKVServer().start()
-        client = NetKVClient(server.address)
-        try:
-            for i in range(nkeys):
-                client.set(f"small/{i:04d}", b"v" * 24)
-            t0 = time.perf_counter()
-            for i in range(nreads):
-                client.get(f"small/{i % nkeys:04d}")
-            elapsed = time.perf_counter() - t0
-            lat = client.stats.latency
-            report("ext_netkv_small_gets", [
-                f"reads                {nreads}",
-                f"elapsed              {elapsed:.3f} s",
-                f"throughput           {nreads / elapsed:,.0f} GETs/s",
-                f"round-trip p50       <= {lat.quantile_ms(0.5):.2f} ms",
-                f"round-trip p99       <= {lat.quantile_ms(0.99):.2f} ms",
-            ])
-            assert nreads / elapsed > 500  # sanity floor, loopback TCP
-        finally:
-            client.close()
-            server.stop()
+        assert nreads / elapsed > 500  # sanity floor, loopback TCP
+    finally:
+        client.close()
+        server.stop()

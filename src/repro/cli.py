@@ -327,6 +327,7 @@ def _cmd_netkv(args) -> int:
         import threading
 
         from repro.datastore.netkv import NetKVServer
+        from repro.datastore.wal import DurabilityConfig
 
         if args.serve < 1:
             print("--serve needs at least one shard", file=sys.stderr)
@@ -336,19 +337,13 @@ def _cmd_netkv(args) -> int:
             return 2
         servers = []
         for i in range(args.serve):
-            if args.persist:
-                from repro.datastore.aio import AsyncNetKVServer
-                from repro.datastore.wal import DurabilityConfig
-
-                server = AsyncNetKVServer(
-                    host=args.host,
-                    max_connections=args.max_conns,
-                    persist_dir=os.path.join(args.persist, f"shard{i}"),
-                    durability=DurabilityConfig(fsync=not args.no_fsync),
-                )
-            else:
-                server = NetKVServer(host=args.host)
-                server.max_connections = args.max_conns
+            server = NetKVServer(
+                host=args.host,
+                max_connections=args.max_conns,
+                persist_dir=(os.path.join(args.persist, f"shard{i}")
+                             if args.persist else None),
+                durability=DurabilityConfig(fsync=not args.no_fsync),
+            )
             servers.append(server.start())
         url = "netkv://" + ",".join(f"{h}:{p}" for h, p in
                                     (s.address for s in servers))

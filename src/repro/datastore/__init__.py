@@ -23,9 +23,9 @@ from repro.datastore.base import (
 from repro.datastore.fsstore import FSStore, FaultInjector
 from repro.datastore.taridx import IndexedTar, TaridxStore, recover_index
 from repro.datastore.kvstore import KVServer, KVCluster, KVStore, LatencyModel
+from repro.datastore.aio import AsyncClientChannel
 from repro.datastore.netkv import (
-    NetKVServer, NetKVClient, NetKVCluster, NetKVStore, TransportConfig,
-    WireProtocolError,
+    NetKVServer, NetKVCluster, NetKVStore, TransportConfig, WireProtocolError,
 )
 from repro.datastore.namespaced import NamespacedStore
 from repro.datastore.tiered import TieredStore
@@ -48,7 +48,7 @@ __all__ = [
     "KVStore",
     "LatencyModel",
     "NetKVServer",
-    "NetKVClient",
+    "AsyncClientChannel",
     "NetKVCluster",
     "NetKVStore",
     "TransportConfig",

@@ -1,7 +1,8 @@
 """Event-loop transport core for NetKV: framing, server, client channel.
 
-This module holds the asyncio implementation behind the *sync facades*
-in :mod:`repro.datastore.netkv` (see DESIGN.md, "Event-loop transport"):
+This module is NetKV's one wire transport; :mod:`repro.datastore.netkv`
+builds the replicated cluster on top of it (see DESIGN.md, "Event-loop
+transport"):
 
 - :class:`ReadBuffer` — zero-copy buffered framing. Incoming chunks are
   appended to one grow-only ``bytearray``; frames are sliced out through
@@ -21,13 +22,13 @@ in :mod:`repro.datastore.netkv` (see DESIGN.md, "Event-loop transport"):
   MGET/MSET/MDEL wire batches: while one round trip is in flight, every
   same-kind op that piles up behind it ships as a single batch frame
   (the coalescing window is the in-flight round trip — no added
-  latency). The sync method surface matches ``NetKVClient`` so the
-  cluster's failover/repair machinery works against either.
+  latency). Its blocking methods are the per-shard client surface the
+  cluster's failover/repair machinery calls.
 
 Wire-protocol primitives (:class:`WireProtocolError`, key validation,
-batch payload packing) live here and are re-exported by ``netkv`` so
-the import graph stays acyclic: ``netkv`` imports ``aio``, never the
-reverse.
+batch payload packing) live here too. ``netkv`` re-exports
+:class:`WireProtocolError`, and the import graph stays acyclic:
+``netkv`` imports ``aio``, never the reverse.
 """
 
 from __future__ import annotations
@@ -292,9 +293,11 @@ class LoopThread:
                 pending = asyncio.all_tasks(self.loop)
                 for task in pending:
                     task.cancel()
-                if pending:
-                    self.loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True))
+                # Always run one more pass, even with no tasks left: a
+                # transport aborted just before stop() closes its socket
+                # in a callback, which would otherwise never run.
+                self.loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True))
             except Exception:
                 pass
             self.loop.close()
@@ -514,11 +517,11 @@ def _dispatch(server: "AsyncNetKVServer", cmd: str, args: List[str],
 class _ServerConnection(_BufferedProtocol):
     """One accepted connection: a serve task looping request→response.
 
-    Error discipline matches the threaded handler exactly: framing
-    violations get one ERR frame and a close (after a malformed SET
-    header the payload boundary is unknowable — continuing would parse
-    payload bytes as the next header); application errors get an ERR
-    frame and the connection continues; KeyNotFound is ``NF``.
+    Error discipline: framing violations get one ERR frame and a close
+    (after a malformed SET header the payload boundary is unknowable —
+    continuing would parse payload bytes as the next header);
+    application errors get an ERR frame and the connection continues;
+    KeyNotFound is ``NF``.
     """
 
     def __init__(self, owner: "AsyncNetKVServer") -> None:
@@ -918,7 +921,7 @@ class _Op:
     retry ladder runs on the loop thread where that span is not on the
     thread-local stack, so retry/exhausted events are attached to the
     captured span object directly — the store op that pays for a retry
-    records it, exactly as with the threaded client.
+    records it.
     """
 
     __slots__ = ("kind", "arg", "fut", "span")
@@ -950,13 +953,22 @@ class AsyncClientChannel:
     per-key round trips. FIFO order across kinds is preserved, and a
     caller's program order is preserved because it blocks per op.
 
-    The retry ladder mirrors ``NetKVClient``: timeouts, connection
-    failures, and protocol violations drop the connection, wait out a
-    jittered capped-exponential backoff, and re-attempt on a fresh
-    connection until the budget is spent (→ StoreUnavailable).
-    Application outcomes (NF → KeyNotFound, ERR → StoreError) are never
-    retried. Method surface and exception contract match
-    ``NetKVClient`` so the cluster's failover machinery is agnostic.
+    The connection is opened lazily and re-opened transparently:
+    timeouts, connection failures, and protocol violations drop the
+    connection, wait out a jittered capped-exponential backoff
+    (``config``, a :class:`~repro.datastore.netkv.TransportConfig`),
+    and re-attempt on a fresh connection until the budget is spent
+    (→ StoreUnavailable). Application outcomes (NF → KeyNotFound,
+    ERR → StoreError) are never retried.
+
+    Retries make every operation at-least-once: SET/GET/RENAME are
+    idempotent, but a DEL whose response was lost can raise
+    :class:`KeyNotFound` on the re-attempt even though the key was
+    removed (see DESIGN.md, "Transport failure semantics").
+
+    ``loop_thread`` is a :class:`LoopThread` or a callable returning
+    one (a cluster shares its loop across channels); without it the
+    channel starts, and on :meth:`close` stops, a loop of its own.
     """
 
     def __init__(self, address: Tuple[str, int], config,
@@ -1300,7 +1312,7 @@ class AsyncClientChannel:
             raise StoreError(status[4:])
         raise WireProtocolError(f"unparseable response {status!r}")
 
-    # --- public sync surface (mirrors NetKVClient) ------------------------
+    # --- public sync surface ---------------------------------------------
 
     def ping(self) -> bool:
         return self._submit("PING")

@@ -1,11 +1,19 @@
 """Tests for the networked KV server/client over real TCP sockets."""
 
+import socket
 import threading
+import time
 
 import pytest
 
+from repro.datastore.aio import AsyncClientChannel
 from repro.datastore.base import KeyNotFound, StoreError
-from repro.datastore.netkv import NetKVClient, NetKVCluster, NetKVServer, NetKVStore
+from repro.datastore.netkv import (
+    NetKVCluster,
+    NetKVServer,
+    NetKVStore,
+    TransportConfig,
+)
 
 
 @pytest.fixture
@@ -17,7 +25,7 @@ def server():
 
 @pytest.fixture
 def client(server):
-    c = NetKVClient(server.address)
+    c = AsyncClientChannel(server.address, TransportConfig())
     yield c
     c.close()
 
@@ -74,8 +82,10 @@ class TestClientServer:
         assert len(client) == 5
 
     def test_unknown_command_is_err(self, client):
+        # No public method sends an unknown command; drive the wire op
+        # on the channel's loop directly.
         with pytest.raises(StoreError):
-            client._roundtrip("BOGUS")
+            client._ensure_loop().run(client._roundtrip("BOGUS"))
 
     def test_many_roundtrips_one_connection(self, client):
         for i in range(200):
@@ -88,7 +98,7 @@ class TestClientServer:
 
         def worker(wid):
             try:
-                c = NetKVClient(server.address)
+                c = AsyncClientChannel(server.address, TransportConfig())
                 for i in range(50):
                     c.set(f"w{wid}/k{i}", f"{wid}-{i}".encode())
                 for i in range(50):
@@ -103,7 +113,7 @@ class TestClientServer:
         for t in threads:
             t.join()
         assert not errors
-        probe = NetKVClient(server.address)
+        probe = AsyncClientChannel(server.address, TransportConfig())
         assert len(probe) == 200
         probe.close()
 
@@ -193,17 +203,14 @@ class TestNetKVStoreAdapter:
 class TestShutdown:
     def test_shutdown_command_stops_server(self):
         srv = NetKVServer().start()
-        client = NetKVClient(srv.address)
-        client.shutdown_server()
+        with socket.create_connection(srv.address, timeout=2.0) as sock:
+            sock.sendall(b"SHUTDOWN\n")
         # The listener should go away; a fresh connect eventually fails.
-        import socket as socketlib
-        import time
-
         deadline = time.time() + 5
         refused = False
         while time.time() < deadline:
             try:
-                probe = socketlib.create_connection(srv.address, timeout=0.2)
+                probe = socket.create_connection(srv.address, timeout=0.2)
                 probe.close()
                 time.sleep(0.05)
             except OSError:
@@ -214,13 +221,13 @@ class TestShutdown:
     def test_stop_severs_connections_and_joins_loop(self):
         """``stop()`` must sever live connections and join the loop thread.
 
-        The event-loop server replaces per-connection handler threads
-        with one loop thread per shard; stop() awaits in-flight serve
-        tasks (acked writes are fully applied), aborts the transports,
-        and joins the loop — a "stopped" shard must not keep serving.
+        The server runs one loop thread per shard; stop() awaits
+        in-flight serve tasks (acked writes are fully applied), aborts
+        the transports, and joins the loop — a "stopped" shard must not
+        keep serving.
         """
         srv = NetKVServer().start()
-        client = NetKVClient(srv.address)
+        client = AsyncClientChannel(srv.address, TransportConfig())
         client.set("k", b"v")  # opens a persistent connection
         with srv._conn_lock:
             conns = list(srv._conns)
@@ -230,27 +237,4 @@ class TestShutdown:
         srv.stop()
         assert not loop_thread.is_alive()  # loop thread joined
         assert srv.connection_count() == 0  # live connections severed
-        client.close()
-
-    def test_threaded_stop_joins_handler_threads(self):
-        """Regression (threaded baseline): ``stop()`` must join handler
-        threads.
-
-        Handler threads are daemons, and ``socketserver`` only tracks
-        non-daemon threads for ``server_close()`` to join — so the old
-        shutdown path left handlers running and could drop an acked
-        write on Ctrl-C (`repro netkv --serve`). ``stop()`` tracks and
-        joins them itself.
-        """
-        from repro.datastore.netkv import ThreadedNetKVServer
-
-        srv = ThreadedNetKVServer().start()
-        client = NetKVClient(srv.address)
-        client.set("k", b"v")  # opens a persistent handler connection
-        with srv._conn_lock:
-            handlers = list(srv._handlers)
-        assert handlers, "handler thread was not tracked"
-        srv.stop()
-        assert all(not t.is_alive() for t in handlers)
-        assert srv._thread is None  # serve_forever thread joined too
         client.close()

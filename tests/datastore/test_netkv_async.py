@@ -1,17 +1,14 @@
-"""Async-transport unit tests: coalescing, pool bounds, connection caps.
+"""Event-loop transport unit tests: coalescing and connection caps.
 
-The protocol/cluster/resilience suites exercise the async transport
-through the same surface as the old threaded one; this file targets
-what is *new* in the event-loop rewrite — the opportunistic request
-coalescer, the ``max_connections`` accept cap, and the bounded
-``_ClientPool`` semaphore that fixed the threaded transport's
-connection churn.
+The protocol/cluster/resilience suites exercise the transport through
+the client channel's public surface; this file targets the machinery
+underneath it — the opportunistic request coalescer and the
+``max_connections`` accept cap.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import random
 import threading
 import time
 
@@ -19,14 +16,7 @@ import pytest
 
 from repro.datastore.aio import AsyncClientChannel, _Op
 from repro.datastore.base import KeyNotFound, StoreError, StoreUnavailable
-from repro.datastore.netkv import (
-    NetKVClient,
-    NetKVCluster,
-    NetKVServer,
-    TransportConfig,
-    _ClientPool,
-)
-from repro.datastore.stats import TransportStats
+from repro.datastore.netkv import NetKVServer, TransportConfig
 
 pytestmark = pytest.mark.async_transport
 
@@ -156,52 +146,6 @@ class TestCoalescing:
             chan.close()
 
 
-class TestClientPoolBounds:
-    def test_churn_is_bounded_by_max_size(self, server):
-        """Regression: bursty fan-out used to open one short-lived
-        connection per concurrent miss; the semaphore caps lifetime
-        connections at max_size.
-
-        max_idle == max_size so every released client goes back to the
-        idle list: with a smaller idle cap the pool *deliberately*
-        closes surplus connections on release and reopens on the next
-        miss, so `created` drifts above max_size whenever more than
-        max_idle borrowers happen to overlap — a scheduling accident,
-        which made this test flaky. The bug being pinned (one socket
-        per miss) would still blow past the bound by two orders."""
-        pool = _ClientPool(server.address, TransportConfig(),
-                           TransportStats(), lambda: random.Random(7),
-                           max_idle=4, max_size=4)
-        errors = []
-
-        def worker():
-            try:
-                for _ in range(30):
-                    client = pool.acquire()
-                    try:
-                        assert client.ping()
-                    finally:
-                        pool.release(client)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        try:
-            assert not errors
-            assert 1 <= pool.created <= 4
-        finally:
-            pool.close()
-
-    def test_max_size_must_cover_max_idle(self, server):
-        with pytest.raises(StoreError):
-            _ClientPool(server.address, TransportConfig(), TransportStats(),
-                        lambda: random.Random(7), max_idle=8, max_size=4)
-
-
 class TestMaxConnections:
     def test_excess_connections_are_refused_then_admitted(self):
         srv = NetKVServer(max_connections=2).start()
@@ -210,11 +154,11 @@ class TestMaxConnections:
                               op_timeout=2.0)
         c1 = c2 = c3 = None
         try:
-            c1 = NetKVClient(srv.address, config=cfg)
-            c2 = NetKVClient(srv.address, config=cfg)
+            c1 = AsyncClientChannel(srv.address, cfg)
+            c2 = AsyncClientChannel(srv.address, cfg)
             assert c1.ping() and c2.ping()
             assert srv.connection_count() == 2
-            c3 = NetKVClient(srv.address, config=cfg)
+            c3 = AsyncClientChannel(srv.address, cfg)
             with pytest.raises(StoreUnavailable):
                 c3.ping()
             # Freeing a slot readmits the refused client on retry.
@@ -229,18 +173,3 @@ class TestMaxConnections:
                 if c is not None:
                     c.close()
             srv.stop()
-
-
-class TestTransportSelection:
-    def test_threaded_transport_still_serves(self, server):
-        cluster = NetKVCluster([server.address], transport="threaded")
-        try:
-            cluster.set("k", b"v")
-            assert cluster.get("k") == b"v"
-            assert all(isinstance(p, _ClientPool) for p in cluster._pools)
-        finally:
-            cluster.close()
-
-    def test_unknown_transport_is_rejected(self, server):
-        with pytest.raises(StoreError):
-            NetKVCluster([server.address], transport="carrier-pigeon")

@@ -12,6 +12,7 @@ so constrained runners can opt out via ``REPRO_SKIP_MULTI_SERVER=1``.
 """
 
 import contextlib
+import time
 
 import pytest
 
@@ -21,8 +22,8 @@ from repro.datastore.base import (
     StoreUnavailable,
     open_store,
 )
+from repro.datastore.aio import AsyncClientChannel
 from repro.datastore.netkv import (
-    NetKVClient,
     NetKVCluster,
     NetKVServer,
     NetKVStore,
@@ -136,6 +137,33 @@ class TestReplicaFailover:
             with pytest.raises(StoreUnavailable):
                 cluster.keys("")  # a dead window must refuse, not lie
 
+    def test_half_open_probe_is_one_attempt_without_backoff(self):
+        """Once the cooldown of a down shard elapses, the next operation
+        probes it with exactly one connection attempt: no retry ladder
+        and no backoff, whatever the data path's config says. Here a
+        ladder would sleep 0.5 + 1 + 1 + 1 s, far past the bound."""
+        config = TransportConfig(op_timeout=0.5, connect_timeout=0.5,
+                                 retries=4, backoff_base=0.5,
+                                 backoff_max=1.0, jitter=0.0,
+                                 route_refresh=0)
+        with live_cluster(2, replication=2, config=config) as (
+                servers, cluster):
+            clock = [0.0]
+            cluster._now = lambda: clock[0]
+            cluster.set("warm", b"v")  # both channels connected once
+            servers[1].stop()  # shard 1 stays dead from here on
+            cluster._mark_down(1)
+            clock[0] += cluster.probe_cooldown
+            retries, exhausted = cluster.stats.retries, cluster.stats.exhausted
+            t0 = time.monotonic()
+            cluster.set("k", b"v")  # acked by shard 0, then probes shard 1
+            elapsed = time.monotonic() - t0
+            assert cluster.stats.retries - retries == 1
+            assert cluster.stats.exhausted - exhausted == 1
+            assert elapsed < 2 * config.connect_timeout
+            assert cluster.replica_health()["up"] == 1  # still down
+            assert cluster._states[1].last_attempt == clock[0]
+
 
 @pytest.mark.multi_server
 class TestTombstones:
@@ -150,7 +178,7 @@ class TestTombstones:
             cluster.delete("doomed")  # reaches shard 0 only -> tombstone
 
             servers[1] = NetKVServer(host=host, port=port).start()
-            stale = NetKVClient(servers[1].address, config=FAST)
+            stale = AsyncClientChannel(servers[1].address, FAST)
             stale.set("doomed", b"v")  # the copy a crashed disk kept
             cluster.repair()
 

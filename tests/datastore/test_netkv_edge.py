@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro.datastore.aio import AsyncClientChannel
 from repro.datastore.base import KeyNotFound
-from repro.datastore.netkv import NetKVClient, NetKVServer
+from repro.datastore.netkv import NetKVServer, TransportConfig
 
 
 @pytest.fixture
 def client():
     srv = NetKVServer().start()
-    c = NetKVClient(srv.address)
+    c = AsyncClientChannel(srv.address, TransportConfig())
     yield c
     c.close()
     srv.stop()

@@ -17,10 +17,9 @@ import time
 
 import pytest
 
-from repro.datastore.aio import AsyncNetKVServer
+from repro.datastore.aio import AsyncClientChannel, AsyncNetKVServer
 from repro.datastore.base import KeyNotFound, StoreError, StoreUnavailable
 from repro.datastore.netkv import (
-    NetKVClient,
     NetKVCluster,
     NetKVServer,
     TransportConfig,
@@ -48,7 +47,7 @@ def durable_server(tmp_path, name, port=0, durability=NOSYNC):
 
 @contextlib.contextmanager
 def client_for(server):
-    client = NetKVClient(server.address, config=FAST)
+    client = AsyncClientChannel(server.address, FAST)
     try:
         yield client
     finally:
@@ -102,7 +101,8 @@ def test_restart_preserves_rename_and_flush(tmp_path):
         c.set("old", b"x")
         c.rename("old", "new")
         c.set("pre-flush", b"y")
-        c._roundtrip("FLUSH 0")  # no public client wrapper; wire op
+        # No public client wrapper; drive the wire op on the loop.
+        c._ensure_loop().run(c._roundtrip("FLUSH 0"))
         c.set("post-flush", b"z")
     srv.stop()
 
@@ -143,14 +143,7 @@ def test_snapshot_command_compacts_and_recovery_uses_it(tmp_path):
 
 
 def test_snapshot_refused_without_persistence():
-    srv = NetKVServer().start()  # threaded baseline: no WAL at all
-    try:
-        with client_for(srv) as c:
-            with pytest.raises(StoreError, match="no persistence"):
-                c.snapshot()
-    finally:
-        srv.stop()
-    srv = AsyncNetKVServer().start()  # async but in-memory
+    srv = NetKVServer().start()  # in-memory shard: no WAL at all
     try:
         with client_for(srv) as c:
             with pytest.raises(StoreError, match="no persistence"):

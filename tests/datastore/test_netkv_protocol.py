@@ -1,6 +1,6 @@
 """Wire-protocol hardening tests: hand-rolled frames against the server.
 
-These talk raw TCP, not through :class:`NetKVClient`, because the bugs
+These talk raw TCP, not through a client channel, because the bugs
 they pin down (desync after a malformed SET header, spinning on blank
 lines, unbounded headers) can only be produced by a misbehaving peer.
 """
@@ -10,8 +10,9 @@ import threading
 
 import pytest
 
+from repro.datastore.aio import AsyncClientChannel
 from repro.datastore.base import StoreError
-from repro.datastore.netkv import NetKVClient, NetKVServer, WireProtocolError
+from repro.datastore.netkv import NetKVServer, TransportConfig, WireProtocolError
 
 
 @pytest.fixture
@@ -72,7 +73,7 @@ class TestSetHeaderDesync:
 
     def test_server_survives_malformed_set(self, server):
         raw_exchange(server.address, b"SET k notanint\nJUNK")
-        client = NetKVClient(server.address)
+        client = AsyncClientChannel(server.address, TransportConfig())
         client.set("k", b"clean")
         assert client.get("k") == b"clean"
         assert len(client) == 1  # no junk keys leaked into the backend
@@ -89,7 +90,7 @@ class TestEmptyHeader:
 
     def test_server_usable_after_blank_line_peer(self, server):
         raw_exchange(server.address, b"\n")
-        client = NetKVClient(server.address)
+        client = AsyncClientChannel(server.address, TransportConfig())
         assert client.ping()
         client.close()
 
@@ -124,13 +125,13 @@ class TestReservedKeyBytes:
     the wrong place (the ``\\x00`` separator edge case)."""
 
     def test_client_rejects_nul_key(self, server):
-        client = NetKVClient(server.address)
+        client = AsyncClientChannel(server.address, TransportConfig())
         with pytest.raises(WireProtocolError):
             client.set("bad\x00key", b"v")
         client.close()
 
     def test_client_rejects_space_key(self, server):
-        client = NetKVClient(server.address)
+        client = AsyncClientChannel(server.address, TransportConfig())
         with pytest.raises(WireProtocolError):
             client.set("bad key", b"v")
         with pytest.raises(WireProtocolError):
@@ -140,12 +141,12 @@ class TestReservedKeyBytes:
     def test_server_rejects_nul_key_from_raw_peer(self, server):
         resp, _ = raw_exchange(server.address, b"SET a\x00b 1\nx")
         assert resp.startswith(b"ERR ")
-        client = NetKVClient(server.address)
+        client = AsyncClientChannel(server.address, TransportConfig())
         assert client.keys() == []  # nothing leaked past the separator guard
         client.close()
 
     def test_keys_listing_stays_parseable(self, server):
-        client = NetKVClient(server.address)
+        client = AsyncClientChannel(server.address, TransportConfig())
         for name in ("a", "b/c", "d-e_f.g"):
             client.set(name, b"v")
         assert client.keys() == ["a", "b/c", "d-e_f.g"]
@@ -160,7 +161,7 @@ class TestConcurrentClientsOneShard:
 
         def well_behaved(wid):
             try:
-                c = NetKVClient(server.address)
+                c = AsyncClientChannel(server.address, TransportConfig())
                 for i in range(40):
                     c.set(f"w{wid}/k{i}", f"{wid}:{i}".encode())
                     with pytest.raises(StoreError):
@@ -185,6 +186,6 @@ class TestConcurrentClientsOneShard:
         for t in threads:
             t.join()
         assert not errors
-        probe = NetKVClient(server.address)
+        probe = AsyncClientChannel(server.address, TransportConfig())
         assert len(probe) == 160
         probe.close()

@@ -14,9 +14,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.datastore.aio import AsyncClientChannel
 from repro.datastore.base import StoreUnavailable
 from repro.datastore.netkv import (
-    NetKVClient,
     NetKVCluster,
     NetKVServer,
     NetKVStore,
@@ -82,7 +82,7 @@ class TestDeadPeerTimeouts:
         """A GET whose response never comes must raise StoreUnavailable
         within 2x the configured budget, not hang forever."""
         with black_hole_server() as address:
-            client = NetKVClient(address, config=NO_RETRY)
+            client = AsyncClientChannel(address, NO_RETRY)
             budget = NO_RETRY.op_timeout
             t0 = time.monotonic()
             with pytest.raises(StoreUnavailable):
@@ -95,7 +95,7 @@ class TestDeadPeerTimeouts:
 
     def test_retries_respect_total_budget(self):
         with black_hole_server() as address:
-            client = NetKVClient(address, config=FAST)
+            client = AsyncClientChannel(address, FAST)
             attempts = FAST.retries + 1
             budget = attempts * (FAST.op_timeout + FAST.backoff_max)
             t0 = time.monotonic()
@@ -106,7 +106,7 @@ class TestDeadPeerTimeouts:
             client.close()
 
     def test_connection_refused_is_store_unavailable(self):
-        client = NetKVClient(free_port_address(), config=FAST)
+        client = AsyncClientChannel(free_port_address(), FAST)
         t0 = time.monotonic()
         with pytest.raises(StoreUnavailable):
             client.ping()
@@ -116,16 +116,16 @@ class TestDeadPeerTimeouts:
 
     def test_stale_socket_not_reused_after_failure(self):
         with black_hole_server() as address:
-            client = NetKVClient(address, config=NO_RETRY)
+            client = AsyncClientChannel(address, NO_RETRY)
             with pytest.raises(StoreUnavailable):
                 client.get("k")
-            assert client._sock is None  # dropped, not kept for reuse
+            assert client._conn is None  # dropped, not kept for reuse
 
 
 class TestKillServerMidStream:
     def test_stop_during_session_raises_not_hangs(self):
         server = NetKVServer().start()
-        client = NetKVClient(server.address, config=FAST)
+        client = AsyncClientChannel(server.address, FAST)
         client.set("k", b"v")
         server.stop()
         t0 = time.monotonic()
@@ -138,21 +138,27 @@ class TestKillServerMidStream:
     def test_client_survives_server_restart_on_same_port(self):
         server = NetKVServer().start()
         host, port = server.address
-        client = NetKVClient(server.address, config=TransportConfig(
+        client = AsyncClientChannel(server.address, TransportConfig(
             op_timeout=0.5, connect_timeout=0.5, retries=4,
             backoff_base=0.05, backoff_max=0.2))
         client.set("before", b"1")
         server.stop()
 
-        revived = NetKVServer(host=host, port=port).start()
+        # Bound but not listening until the timer fires: the first
+        # attempt is refused, so the op has to ride out the restart.
+        revived = NetKVServer(host=host, port=port)
+        timer = threading.Timer(0.05, revived.start)
+        timer.start()
         try:
-            # The pooled socket is stale; the client must notice, drop
-            # it, and reconnect to the revived shard transparently.
+            # The old connection is dead; the client must drop it, retry
+            # through the outage, and reconnect to the revived shard
+            # transparently.
             client.set("after", b"2")
             assert client.get("after") == b"2"
             assert client.stats.reconnects >= 1
             assert client.stats.retries >= 1
         finally:
+            timer.join()
             client.close()
             revived.stop()
 
@@ -195,7 +201,7 @@ class TestFaultAbsorption:
         rng = np.random.default_rng(5)
         server = NetKVServer(fault_injector=NetworkFaultInjector(
             garbage=0.2, rng=rng)).start()
-        client = NetKVClient(server.address, config=TransportConfig(
+        client = AsyncClientChannel(server.address, TransportConfig(
             op_timeout=1.0, connect_timeout=1.0, retries=10,
             backoff_base=0.001, backoff_max=0.01))
         try:
@@ -212,7 +218,7 @@ class TestFaultAbsorption:
     def test_delay_faults_slow_but_complete(self):
         server = NetKVServer(fault_injector=NetworkFaultInjector(
             delay=0.3, delay_seconds=0.01, rng=np.random.default_rng(9))).start()
-        client = NetKVClient(server.address, config=FAST)
+        client = AsyncClientChannel(server.address, FAST)
         try:
             for i in range(30):
                 client.set(f"d{i}", b"x")
