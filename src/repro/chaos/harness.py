@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -49,17 +50,19 @@ __all__ = ["ChaosAdapter", "ChaosConfig", "ChaosCampaign", "CampaignReport"]
 
 
 class ChaosAdapter(SchedulerAdapter):
-    """Synchronous scheduler adapter: a FIFO drained on ``wait_all``.
+    """Synchronous scheduler adapter: a FIFO drained at the round barrier.
 
     Job bodies run inline, in submission order, on the caller's thread —
     the determinism backbone of a chaos campaign (no thread scheduling
     in the replay path). Completion callbacks may submit follow-up jobs
     (tracker retries); those drain in the same pass.
 
-    A *stall* fault (``stalled = True``) wedges the pool: ``wait_all``
-    returns without draining and jobs stay in flight across rounds,
-    exactly like a hung node. :meth:`flush` drains regardless — it is
-    the checkpoint quiesce barrier.
+    The WM's round barrier calls :meth:`settle` at every barrier point,
+    even when the round launched nothing. A *stall* fault
+    (``stalled = True``) wedges the pool: ``settle`` returns without
+    draining and jobs stay in flight across rounds, exactly like a hung
+    node; the first unstalled barrier drains them. :meth:`flush` drains
+    regardless — it is the checkpoint quiesce barrier.
     """
 
     def __init__(self) -> None:
@@ -92,7 +95,9 @@ class ChaosAdapter(SchedulerAdapter):
         if callback is not None:
             callback(record)
 
-    def wait_all(self, timeout: Optional[float] = None) -> None:
+    def settle(self, futures: Iterable[Future]) -> None:
+        """Drain the whole FIFO unless stalled; ``futures`` resolve as
+        their jobs run."""
         if self.stalled:
             return
         self.flush()

@@ -99,9 +99,9 @@ class JobTracker:
         ``on_settled`` fires exactly once when the tag reaches a
         *terminal* outcome — completed, abandoned after exhausting
         retries, or cancelled — never on a failure that will be
-        resubmitted. It is keyed by tag so retries carry it: the
-        coroutine WM's round barrier awaits these settle events where
-        the threaded WM joined the pool.
+        resubmitted. It is keyed by tag so retries carry it: the WM's
+        round barrier waits on these settle events, not on the whole
+        pool, so it covers exactly the jobs its round launched.
         """
         if on_settled is not None:
             self._settle_hooks[tag] = on_settled

@@ -21,7 +21,6 @@ functional workflow.
 
 from __future__ import annotations
 
-import asyncio
 import functools
 import threading
 from concurrent.futures import Future
@@ -31,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import trace
-from repro.datastore.aio import LoopThread
 from repro.core.feedback import FeedbackManager
 from repro.core.jobs import JobTracker, JobTypeConfig
 from repro.core.patches import Patch, PatchCreator
@@ -161,15 +159,8 @@ class WorkflowManager:
         # with contention counters (§4.4 "Parallelism and Locking").
         self._selector_guard = SharedState(None)
 
-        # Coroutine round machinery. Adapters whose completions always
-        # settle (ThreadAdapter, TenantAdapter) let the round barrier be
-        # an asyncio.gather over per-job settle futures on a dedicated
-        # loop thread; inline/virtual adapters (ChaosAdapter, Flux)
-        # keep the legacy pool-join round.
-        self._async_rounds = bool(getattr(self.adapter, "settles_async", False))
-        self._loop_thread: Optional[LoopThread] = None
-        self._loop_lock = threading.Lock()
-        self._collecting = False  # True while an async round gathers settles
+        # Settle futures of the jobs this round launched: the round
+        # barrier waits on these, not on the whole adapter.
         self._round_inflight: List[Future] = []
 
         # Task 3 state: ready buffers and trackers per job type.
@@ -261,19 +252,15 @@ class WorkflowManager:
 
     def _launch(self, tracker: JobTracker, tag: str,
                 fn: Callable[[], object]) -> None:
-        """Launch one job, registering it with the active round barrier.
+        """Launch one job and register its settle future with this round.
 
-        Inside an async round every launch contributes a settle future
-        the barrier gathers on; the settle hook is tag-keyed in the
-        tracker, so a retried job keeps the round waiting until its
-        resubmission reaches a terminal state.
+        The settle hook is tag-keyed in the tracker, so a retried job
+        keeps the round barrier waiting until its resubmission reaches a
+        terminal state.
         """
-        on_settled = None
-        if self._collecting:
-            settle: Future = Future()
-            self._round_inflight.append(settle)
-            on_settled = lambda record: settle.set_result(record)  # noqa: E731
-        tracker.launch(tag=tag, fn=trace.wrap(fn), on_settled=on_settled)
+        settle: Future = Future()
+        self._round_inflight.append(settle)
+        tracker.launch(tag=tag, fn=trace.wrap(fn), on_settled=settle.set_result)
 
     def _fill_cg_buffer(self) -> int:
         """Launch createsim jobs until the ready buffer will hit target."""
@@ -470,87 +457,38 @@ class WorkflowManager:
         launched this round settled — deterministic laptop mode. With
         ``wait=False`` jobs overlap rounds like the production WM.
 
-        On adapters that settle every job (``settles_async``) the
-        waiting round runs as a coroutine on a dedicated loop thread:
-        CPU-bound tasks offload through ``run_in_executor`` and the
-        barrier is an ``asyncio.gather`` over per-job settle futures —
-        not a pool join — so the barrier covers exactly this round's
-        jobs (including their retries) and never another tenant's.
-        The sync signature is a facade; callers block either way.
+        The barrier hands this round's settle futures to
+        ``adapter.settle`` — not a pool join — so it covers exactly this
+        round's jobs (including their retries) and never a sibling
+        campaign's. Tasks 1 and 4 run through ``adapter.executor`` when
+        the adapter has one, so a tenant's coordination work is billed
+        to its fair share; otherwise they run inline.
         """
-        if wait and self._async_rounds:
-            parent = trace.current_id()
-            self._ensure_loop().run(self._round_async(advance_us, parent))
-        else:
-            self._round_sync(advance_us, wait)
+        self._round_inflight = []
+        with trace.span("wm.round", round=self.rounds):
+            self._offload(functools.partial(self.task1_process_macro, advance_us))
+            self.task3_manage_jobs()
+            if wait:
+                self._barrier()
+                # Setup jobs may have refilled buffers; start the sims now.
+                self.task3_manage_jobs()
+                self._barrier()
+            self._offload(self.task4_feedback)
         self.rounds += 1
         return self.counters_snapshot()
 
-    def _round_sync(self, advance_us: float, wait: bool) -> None:
-        """Legacy inline round (chaos/virtual adapters, overlap mode)."""
-        with trace.span("wm.round", round=self.rounds):
-            self.task1_process_macro(advance_us)
-            self.task3_manage_jobs()
-            # Any adapter that can block on completion (thread pool,
-            # chaos harness) supports deterministic rounds; virtual-time
-            # adapters (Flux) never block.
-            if wait and hasattr(self.adapter, "wait_all"):
-                self.adapter.wait_all()
-                # Setup jobs may have refilled buffers; start the sims now.
-                self.task3_manage_jobs()
-                self.adapter.wait_all()
-            self.task4_feedback()
+    def _offload(self, fn: Callable[[], object]) -> None:
+        """Run a CPU-bound task on the adapter's executor, else inline."""
+        executor = getattr(self.adapter, "executor", None)
+        if executor is None:
+            fn()
+        else:
+            executor.submit(trace.wrap(fn)).result()
 
-    async def _round_async(self, advance_us: float,
-                           parent: Optional[int]) -> None:
-        """Coroutine round: offload CPU tasks, gather on settle futures.
-
-        Runs on this WM's private loop thread, so holding the
-        ``wm.round`` span across awaits is safe (nothing else traces on
-        this thread); job bodies and offloads run in executor threads
-        and parent back through ``trace.wrap``. Task 3 itself stays on
-        the loop — launching is non-blocking and its selector critical
-        sections are short.
-        """
-        loop = asyncio.get_running_loop()
-        offload = getattr(self.adapter, "executor", None)
-        with trace.inherit(parent):
-            with trace.span("wm.round", round=self.rounds):
-                await loop.run_in_executor(
-                    offload,
-                    trace.wrap(functools.partial(
-                        self.task1_process_macro, advance_us)),
-                )
-                self._collecting = True
-                try:
-                    self.task3_manage_jobs()
-                    await self._gather_settled()
-                    # Setup jobs may have refilled buffers; start sims now.
-                    self.task3_manage_jobs()
-                    await self._gather_settled()
-                finally:
-                    self._collecting = False
-                await loop.run_in_executor(
-                    offload, trace.wrap(self.task4_feedback))
-
-    async def _gather_settled(self) -> None:
-        """The round barrier: await every settle future launched so far.
-
-        Settle hooks fire from executor threads; ``wrap_future`` bridges
-        them onto this loop. Futures carry job records, never
-        exceptions — a failed job is data (the tracker retried or
-        abandoned it), not a barrier error.
-        """
-        while self._round_inflight:
-            batch, self._round_inflight = self._round_inflight, []
-            await asyncio.gather(*(asyncio.wrap_future(f) for f in batch))
-
-    def _ensure_loop(self) -> LoopThread:
-        """The WM's round loop thread, (re)created lazily."""
-        with self._loop_lock:
-            if self._loop_thread is None or not self._loop_thread.is_alive():
-                self._loop_thread = LoopThread(name="wm-round-loop")
-            return self._loop_thread
+    def _barrier(self) -> None:
+        """Settle the jobs launched since the last barrier."""
+        futures, self._round_inflight = self._round_inflight, []
+        self.adapter.settle(futures)
 
     def run(self, nrounds: int, advance_us: float = 1.0,
             wait: bool = True) -> Dict[str, int]:
@@ -597,10 +535,6 @@ class WorkflowManager:
             shutdown = getattr(self.adapter, "shutdown", None)
             if shutdown is not None:
                 shutdown()
-        with self._loop_lock:
-            loop_thread, self._loop_thread = self._loop_thread, None
-        if loop_thread is not None:
-            loop_thread.stop()
 
     # ------------------------------------------------------------------
     # Checkpoint / restore (§4.4 resilience)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import abc
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Dict, Optional
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.sched.flux import FluxInstance
 from repro.sched.jobspec import JobRecord, JobSpec, JobState
@@ -50,6 +50,15 @@ class SchedulerAdapter(abc.ABC):
     def cancel(self, job_id: int) -> None:
         """Best-effort cancellation."""
 
+    def settle(self, futures: Iterable[Future]) -> None:
+        """The WM round barrier: block until ``futures`` are done.
+
+        Each future resolves when one job the round launched reaches a
+        terminal outcome. Adapters that run jobs only when asked (the
+        chaos harness's inline FIFO) override this to drive them.
+        """
+        wait(futures)
+
 
 class FluxAdapter(SchedulerAdapter):
     """Adapter over the virtual-time :class:`FluxInstance`."""
@@ -74,14 +83,6 @@ class ThreadAdapter(SchedulerAdapter):
     adapter exists so the same Workflow Manager code drives both the
     campaign simulator and real laptop-scale runs.
     """
-
-    #: Every submitted job eventually settles (completes, fails, or is
-    #: cancelled) and its ``on_complete`` always fires — the contract
-    #: the WM's coroutine round barrier (``asyncio.gather`` over settle
-    #: futures) depends on. Inline/virtual adapters (ChaosAdapter,
-    #: FluxAdapter) deliberately lack this flag: they drain on
-    #: ``wait_all``/virtual time and must keep the legacy sync round.
-    settles_async = True
 
     def __init__(self, max_workers: int = 4) -> None:
         self._pool = ThreadPoolExecutor(max_workers=max_workers)
@@ -126,17 +127,29 @@ class ThreadAdapter(SchedulerAdapter):
                 callback(record)
 
     def wait_all(self, timeout: Optional[float] = None) -> None:
-        """Block until every submitted job has finished (test/demo helper)."""
-        for future in list(self._futures.values()):
-            future.result(timeout=timeout)
+        """Block until every submitted job has finished.
+
+        A completion callback may submit more work (a tracker retry, a
+        ``when_done`` chain) while this waits, so keep waiting until a
+        pass finds no job it has not already waited on. ``_futures``
+        only grows, in submission order.
+        """
+        waited = 0
+        while True:
+            futures = list(self._futures.values())
+            if len(futures) == waited:
+                return
+            for future in futures[waited:]:
+                future.result(timeout=timeout)
+            waited = len(futures)
 
     @property
     def executor(self):
         """``concurrent.futures``-style executor for WM task offloads.
 
-        The coroutine WM runs its CPU-bound tasks via
-        ``loop.run_in_executor(adapter.executor, ...)`` so offloads and
-        job bodies share one substrate instead of spawning side pools.
+        The WM runs its CPU-bound tasks (macro step, feedback) via
+        ``adapter.executor.submit(...)`` so offloads and job bodies
+        share one substrate instead of spawning side pools.
         """
         return self._pool
 

@@ -15,10 +15,12 @@ conservation).
 
 Campaigns talk to the arbiter through :meth:`FairShareAdapter.view`,
 which returns a per-tenant :class:`TenantAdapter` implementing the
-standard :class:`~repro.sched.adapter.SchedulerAdapter` API plus the
-``wait_all``/``flush`` hooks the WM's deterministic rounds use — scoped
-to that tenant's jobs only, so one campaign's round barrier never waits
-on another tenant's work.
+standard :class:`~repro.sched.adapter.SchedulerAdapter` API, an
+``executor`` that bills the WM's task offloads to the tenant, and the
+``flush`` hook the WM's checkpoint quiesce uses, scoped to that
+tenant's jobs only. The WM's round barrier waits on settle futures of
+the jobs its round launched, so one campaign's round never waits on
+another campaign's work, even a same-tenant sibling's.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class StrideScheduler:
 class TenantExecutor:
     """``concurrent.futures``-style view over a tenant's fair share.
 
-    The coroutine WM offloads its CPU-bound tasks through
-    ``loop.run_in_executor``; handing it this object (instead of a
+    The WM offloads its CPU-bound tasks (macro step, feedback) through
+    ``adapter.executor.submit``; handing it this object (instead of a
     private thread pool) routes those offloads through the arbiter as
     ordinary ``wm-offload`` jobs, so a tenant's coordination work is
     charged against the same share as its simulation jobs and cannot
@@ -121,11 +123,6 @@ class TenantExecutor:
 class TenantAdapter(SchedulerAdapter):
     """One tenant's scoped handle on a :class:`FairShareAdapter`."""
 
-    #: Same settle contract as ThreadAdapter: the pool always fires
-    #: ``on_complete`` (run, failure, or queued-cancel), so the WM's
-    #: coroutine round barrier can gather on settle futures.
-    settles_async = True
-
     def __init__(self, shared: "FairShareAdapter", tenant: str) -> None:
         self.shared = shared
         self.tenant = tenant
@@ -146,10 +143,6 @@ class TenantAdapter(SchedulerAdapter):
 
     def cancel(self, job_id: int) -> None:
         self.shared.cancel(job_id)
-
-    def wait_all(self, timeout: Optional[float] = None) -> None:
-        """Block until every job *this tenant* submitted has finished."""
-        self.shared.wait_tenant(self.tenant, timeout=timeout)
 
     def flush(self) -> None:
         """Quiesce hook (WM checkpoints): drain this tenant's jobs."""
@@ -276,13 +269,6 @@ class FairShareAdapter:
         for event in events:
             if not event.wait(timeout=timeout):
                 raise TimeoutError(f"tenant {tenant!r} jobs did not drain")
-
-    def wait_all(self, timeout: Optional[float] = None) -> None:
-        with self._lock:
-            events = list(self._done_events.values())
-        for event in events:
-            if not event.wait(timeout=timeout):
-                raise TimeoutError("shared pool did not drain")
 
     def shutdown(self) -> None:
         with self._lock:

@@ -1,12 +1,12 @@
-"""Tests for the coroutine round core: settle hooks, the async
-barrier, and fair-share offload billing.
+"""Tests for the WM round: settle hooks, the round barrier, and
+fair-share offload billing.
 
-The threaded WM ended a round by joining the whole worker pool; the
-coroutine WM gathers per-tag *settle* futures instead, so only the
-jobs this round launched gate the barrier. These tests pin down the
-settle contract on the JobTracker, the WM's dispatch between the
-legacy and coroutine paths, and the TenantExecutor that keeps offloads
-billed to the tenant's fair share.
+The WM's round barrier does not join the whole worker pool: it hands
+the per-tag *settle* futures of the jobs this round launched to
+``adapter.settle``, so only those jobs gate the barrier. These tests
+pin down the settle contract on the JobTracker, the one round body
+across thread, chaos and fair-share adapters, and the TenantExecutor
+that keeps offloads billed to the tenant's fair share.
 """
 
 from __future__ import annotations
@@ -15,7 +15,10 @@ import threading
 
 import pytest
 
+from repro import trace
+from repro.chaos.harness import ChaosAdapter
 from repro.core.jobs import JobTracker, JobTypeConfig
+from repro.core.wm import WorkflowManager
 from repro.sched.adapter import ThreadAdapter
 from repro.sched.jobspec import JobState
 from repro.sched.shares import FairShareAdapter, TenantExecutor
@@ -82,29 +85,45 @@ class TestSettleHook:
         assert blocker_done.wait(10)
 
 
-class TestCoroutineRound:
-    def test_thread_adapter_opts_into_async_rounds(self):
-        wm, _ = make_wm()
-        try:
-            assert wm._async_rounds  # ThreadAdapter.settles_async
-            assert wm._loop_thread is None  # lazy until the first round
-        finally:
-            wm.close()
+def _wm_on(adapter, **cfg_kwargs):
+    """The make_wm() pipeline on ``adapter`` (None: the WM owns a pool)."""
+    base, store = make_wm(**cfg_kwargs)
+    wm = WorkflowManager(
+        macro=base.macro,
+        encoder=base.encoder,
+        forcefield=base.forcefield,
+        store=store,
+        adapter=adapter,
+        config=base.config,
+        patch_creator=base.patch_creator,
+    )
+    return wm, store
 
-    def test_async_round_runs_the_whole_pipeline(self):
-        wm, store = make_wm()
+
+def _coordination_children(rows):
+    """Names of the WM task spans under the single ``wm.round`` span."""
+    (round_span,) = [r["span"] for r in rows if r["name"] == "wm.round"]
+    return [r["name"] for r in rows
+            if r["parent"] == round_span
+            and r["name"].startswith(("wm.task", "schedule."))]
+
+
+class TestOneRound:
+    def test_round_runs_on_the_pool_and_leaves_no_thread(self):
+        wm, store = _wm_on(None)  # the WM owns (and closes) its pool
+        before = set(threading.enumerate())
         try:
             wm.round(advance_us=1.0)
-            assert wm._loop_thread is not None and wm._loop_thread.is_alive()
             c = wm.counters
             assert c["patches_selected"] > 0
             assert c["cg_spawned"] > 0
             assert c["cg_finished"] > 0
             assert len(store.keys("rdf/live/")) > 0
-            loop_thread = wm._loop_thread
+            started = set(threading.enumerate()) - before
+            assert started <= set(wm.adapter._pool._threads)
         finally:
             wm.close()
-        assert not loop_thread.is_alive()  # close() joins the round loop
+        assert not [t for t in started if t.is_alive()]
 
     def test_round_barrier_leaves_nothing_inflight(self):
         wm, _ = make_wm()
@@ -117,24 +136,61 @@ class TestCoroutineRound:
         finally:
             wm.close()
 
-    def test_legacy_path_still_works_when_adapter_opts_out(self):
-        wm, _ = make_wm()
-        try:
-            wm._async_rounds = False  # adapters without settles_async
-            wm.round(advance_us=1.0)
-            assert wm._loop_thread is None
-            assert wm.counters["cg_finished"] > 0
-        finally:
-            wm.close()
+    def test_thread_and_chaos_adapters_trace_the_same_round(self):
+        shapes = []
+        for adapter in (ThreadAdapter(max_workers=1), ChaosAdapter()):
+            wm, _ = _wm_on(adapter)
+            tracer = trace.enable()
+            try:
+                wm.round(advance_us=1.0)
+            finally:
+                trace.disable()
+                wm.close()
+            shapes.append(_coordination_children(tracer.rows()))
+        assert shapes[0] == shapes[1] == [
+            "wm.task1", "schedule.manage", "schedule.manage", "wm.task4"]
 
-    def test_wait_false_takes_the_legacy_non_blocking_path(self):
-        wm, _ = make_wm()
+    def test_unstalled_round_drains_jobs_a_stall_left_queued(self):
+        # max_cg_sims=0: once the createsim jobs are queued, the next
+        # round has nothing to launch, so only the barrier's settle call
+        # can drain what the stalled round left behind.
+        adapter = ChaosAdapter()
+        wm, _ = _wm_on(adapter, max_cg_sims=0)
+        adapter.stalled = True
+        wm.round(advance_us=1.0)
+        queued = adapter.pending()
+        assert queued == wm.counters["patches_selected"] > 0
+        assert wm.cg_ready == []
+
+        adapter.stalled = False
+        wm.round(advance_us=1.0)
+        assert wm.counters["patches_selected"] == queued  # launched nothing
+        assert adapter.pending() == 0
+        assert len(wm.cg_ready) == queued
+        assert wm.trackers["createsim"].nactive() == 0
+
+    def test_round_does_not_wait_on_a_same_tenant_sibling(self):
+        shared = FairShareAdapter(max_workers=2)
+        wm_a, _ = _wm_on(shared.view("acme"))
+        wm_b, _ = _wm_on(shared.view("acme"))
+        gate, b_done = threading.Event(), threading.Event()
+
+        def blocked():
+            gate.wait(20)
+            b_done.set()
+
         try:
-            wm.round(wait=False)
-            assert wm._loop_thread is None  # coroutine core not engaged
-            wm.adapter.wait_all()
+            wm_b.trackers["cg-sim"].launch("sibling", fn=blocked)
+            wm_a.round(advance_us=1.0)
+            assert wm_a.counters["cg_finished"] > 0
+            assert not b_done.is_set()  # B's job still holds its slot
+            assert wm_b.trackers["cg-sim"].nactive() == 1
         finally:
-            wm.close()
+            gate.set()
+            wm_a.close()
+            wm_b.close()
+            shared.shutdown()
+        assert b_done.is_set()
 
 
 class TestTenantExecutor:

@@ -1,5 +1,7 @@
 """Tests for the Maestro-like adapter, bundling ablation, and emulator."""
 
+import time
+
 import pytest
 
 from repro.sched.adapter import FluxAdapter, ThreadAdapter
@@ -57,6 +59,22 @@ class TestThreadAdapter:
         rec = adapter.submit(JobSpec(name="x", ncores=1), fn=lambda: None)
         adapter.wait_all()
         assert adapter.poll(rec.job_id) is JobState.COMPLETED
+        adapter.shutdown()
+
+    def test_wait_all_covers_jobs_submitted_from_callbacks(self):
+        # A tracker retry or a when_done chain submits from A's
+        # completion callback, after wait_all may have started waiting.
+        adapter = ThreadAdapter(max_workers=2)
+        followups = []
+
+        def submit_b(_record):
+            followups.append(adapter.submit(
+                JobSpec(name="b", ncores=1), fn=lambda: time.sleep(0.2)))
+
+        adapter.submit(JobSpec(name="a", ncores=1), fn=lambda: None,
+                       on_complete=submit_b)
+        adapter.wait_all()
+        assert [r.state for r in followups] == [JobState.COMPLETED]
         adapter.shutdown()
 
 
