@@ -17,7 +17,7 @@ import time
 import pytest
 from conftest import record_json, report
 
-from repro.datastore.aio import AsyncNetKVServer
+from repro.datastore.aio import NetKVServer
 from repro.datastore.netkv import NetKVCluster, TransportConfig, key_slot
 from repro.datastore.wal import DurabilityConfig
 
@@ -53,10 +53,10 @@ class TestDurableOverhead:
     def test_group_commit_keeps_pipelining_cheap(self, tmp_path):
         items = [(f"bench/{i:04d}", PAYLOAD) for i in range(NKEYS)]
 
-        mem_servers = [AsyncNetKVServer().start() for _ in range(2)]
+        mem_servers = [NetKVServer().start() for _ in range(2)]
         wal_servers = [
-            AsyncNetKVServer(persist_dir=str(tmp_path / f"shard{i}"),
-                             durability=DurabilityConfig(fsync=True)).start()
+            NetKVServer(persist_dir=str(tmp_path / f"shard{i}"),
+                        durability=DurabilityConfig(fsync=True)).start()
             for i in range(2)
         ]
         mem = _cluster(mem_servers)
@@ -108,8 +108,8 @@ class TestDurableOverhead:
 class TestMigrationThroughput:
     def test_migrate_half_the_keyspace(self, tmp_path):
         servers = [
-            AsyncNetKVServer(persist_dir=str(tmp_path / f"shard{i}"),
-                             durability=DurabilityConfig(fsync=True)).start()
+            NetKVServer(persist_dir=str(tmp_path / f"shard{i}"),
+                        durability=DurabilityConfig(fsync=True)).start()
             for i in range(3)
         ]
         cluster = _cluster(servers)

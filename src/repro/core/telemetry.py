@@ -217,7 +217,7 @@ def render_report(report: TelemetryReport) -> str:
         if tr.get("coalesced_requests"):
             lines.append(
                 f"  coalescing: {tr['coalesced_requests']} synthesized batches "
-                f"absorbing {tr['coalesced_keys']} single-key ops"
+                f"carrying {tr['coalesced_keys']} keys"
             )
     if report.replicas:
         rh = report.replicas

@@ -10,20 +10,20 @@ transport"):
   consumed-offset cursor and lazy compaction.
 - :class:`LoopThread` — a dedicated event loop on a daemon thread; the
   sync API submits coroutines via ``run_coroutine_threadsafe``.
-- :class:`AsyncNetKVServer` — the per-shard event-loop server. One
+- :class:`NetKVServer` — the per-shard event-loop server. One
   ``asyncio.Protocol`` connection per client, a per-connection serve
   task, vectored writes (``transport.writelines``), and backpressure in
   both directions: write-buffer high-water marks gate the serve loop
   (bounded per-connection write queue), and the read buffer pauses the
   transport when a pipelining peer runs ahead of dispatch.
 - :class:`AsyncClientChannel` — one coalescing connection per shard.
-  Concurrent single-key GET/SET/DEL ops from many caller threads are
-  queued on the loop and opportunistically folded into the existing
-  MGET/MSET/MDEL wire batches: while one round trip is in flight, every
-  same-kind op that piles up behind it ships as a single batch frame
-  (the coalescing window is the in-flight round trip — no added
-  latency). Its blocking methods are the per-shard client surface the
-  cluster's failover/repair machinery calls.
+  Every keyed op is an MGET/MSET/MSETNX/MDEL batch (a single key is a
+  one-key batch); ops from many caller threads are queued on the loop,
+  and while one round trip is in flight every same-kind op that piles
+  up behind it folds into a single frame (the coalescing window is the
+  in-flight round trip — no added latency). Its blocking methods are
+  the per-shard client surface the cluster's failover/repair machinery
+  calls.
 
 Wire-protocol primitives (:class:`WireProtocolError`, key validation,
 batch payload packing) live here too. ``netkv`` re-exports
@@ -53,7 +53,7 @@ __all__ = [
     "WireProtocolError",
     "ReadBuffer",
     "LoopThread",
-    "AsyncNetKVServer",
+    "NetKVServer",
     "AsyncClientChannel",
 ]
 
@@ -95,14 +95,6 @@ def _check_wire_key(key: str) -> str:
     if any(c in key for c in (" ", "\t", "\n", "\r", "\x00")):
         raise WireProtocolError(f"key contains bytes the wire protocol reserves: {key!r}")
     return key
-
-
-def _wire_key_ok(key: str) -> bool:
-    """True when ``key`` could pass :func:`_check_wire_key` — used to
-    decide whether a GET/DEL may fold into a batch frame (a reserved
-    byte would corrupt the NUL-joined batch payload, so such ops ship
-    as their original single-key frames)."""
-    return bool(key) and not any(c in key for c in (" ", "\t", "\n", "\r", "\x00"))
 
 
 # --- batch (MGET/MSET/MDEL) payload framing ------------------------------
@@ -445,7 +437,7 @@ _MUTATING = frozenset({"SET", "DEL", "RENAME", "MSET", "MSETNX", "MDEL",
                        "FLUSH"})
 
 
-def _dispatch(server: "AsyncNetKVServer", cmd: str, args: List[str],
+def _dispatch(server: "NetKVServer", cmd: str, args: List[str],
               payload: bytes) -> Optional[bytes]:
     store = server.backend
     wal = server.wal
@@ -524,7 +516,7 @@ class _ServerConnection(_BufferedProtocol):
     KeyNotFound is ``NF``.
     """
 
-    def __init__(self, owner: "AsyncNetKVServer") -> None:
+    def __init__(self, owner: "NetKVServer") -> None:
         super().__init__()
         self.owner = owner
         self.task: Optional[asyncio.Task] = None
@@ -733,15 +725,19 @@ class _ServerConnection(_BufferedProtocol):
                 pass
 
 
-class AsyncNetKVServer:
-    """One networked shard on a dedicated event loop (sync facade).
+class NetKVServer:
+    """One networked shard wrapping an in-memory
+    :class:`~repro.datastore.kvstore.KVServer`.
 
-    The listening socket is bound in the constructor so ``address`` is
-    available before ``start()`` (and a restart can rebind the same
-    port); ``start()`` spins the shard's :class:`LoopThread` and begins
-    accepting. ``fault_injector`` plugs a
+    One dedicated loop thread per shard, one protocol object (not one
+    thread) per connection, zero-copy buffered framing, and write-queue
+    backpressure. The listening socket is bound in the constructor so
+    ``address`` is available before ``start()`` (and a restart can
+    rebind the same port); ``start()`` spins the shard's
+    :class:`LoopThread` and begins accepting. ``fault_injector`` plugs a
     :class:`~repro.util.faults.NetworkFaultInjector` into the accept
-    and request paths for degraded-network testing.
+    and request paths for degraded-network testing; ``persist_dir``
+    makes the shard durable (see OPERATIONS.md).
 
     ``max_connections`` caps concurrently served connections: excess
     accepts are closed immediately (documented in OPERATIONS.md for
@@ -805,7 +801,7 @@ class AsyncNetKVServer:
         with self._conn_lock:
             return len(self._conns)
 
-    def start(self) -> "AsyncNetKVServer":
+    def start(self) -> "NetKVServer":
         with self._stop_lock:
             if self._stopping:
                 raise StoreError("server was stopped; create a new one")
@@ -904,7 +900,7 @@ class AsyncNetKVServer:
             for task in pending:
                 task.cancel()
 
-    def __enter__(self) -> "AsyncNetKVServer":
+    def __enter__(self) -> "NetKVServer":
         return self.start()
 
     def __exit__(self, *exc) -> None:
@@ -934,6 +930,11 @@ class _Op:
         self.span = span
 
 
+# Batch ops carry ``(payload, nkeys)``; queued same-kind ones fold into
+# one frame.
+_BATCH_KINDS = frozenset({"MGET", "MSET", "MSETNX", "MDEL"})
+
+
 def _note_event(spans, name: str, **attrs) -> None:
     """Record a transport event on every waiting caller's span."""
     for sp in spans:
@@ -946,12 +947,17 @@ class AsyncClientChannel:
 
     Caller threads enqueue ops onto the channel's event loop and block
     on a future; a drainer task executes the queue over one connection.
-    When several same-kind single-key GET/SET/DEL ops are queued (they
-    piled up while the previous round trip was in flight), the drainer
-    folds the longest same-kind prefix run into one MGET/MSET/MDEL
-    frame — concurrency converts into pipeline depth instead of
-    per-key round trips. FIFO order across kinds is preserved, and a
-    caller's program order is preserved because it blocks per op.
+    Every keyed op is a batch (MGET/MSET/MSETNX/MDEL; ``get``, ``set``
+    and ``delete`` submit one-key batches). When several same-kind batch
+    ops are queued (they piled up while the previous round trip was in
+    flight), the drainer folds the longest same-kind prefix run, up to
+    ``batch_keys`` keys, into one frame and splits the reply back by
+    each op's key count — concurrency converts into pipeline depth
+    instead of per-op round trips. FIFO order across kinds is
+    preserved, and a caller's program order is preserved because it
+    blocks per op. Keys are checked before anything is queued, so a key
+    with bytes the wire reserves raises :class:`WireProtocolError` at
+    the call.
 
     The connection is opened lazily and re-opened transparently:
     timeouts, connection failures, and protocol violations drop the
@@ -961,10 +967,11 @@ class AsyncClientChannel:
     (→ StoreUnavailable). Application outcomes (NF → KeyNotFound,
     ERR → StoreError) are never retried.
 
-    Retries make every operation at-least-once: SET/GET/RENAME are
-    idempotent, but a DEL whose response was lost can raise
-    :class:`KeyNotFound` on the re-attempt even though the key was
-    removed (see DESIGN.md, "Transport failure semantics").
+    Retries make every operation at-least-once: MSET/MGET/RENAME are
+    idempotent, but an MDEL whose response was lost can report a key as
+    absent (``delete`` raises :class:`KeyNotFound`) on the re-attempt
+    even though the key was removed (see DESIGN.md, "Transport failure
+    semantics").
 
     ``loop_thread`` is a :class:`LoopThread` or a callable returning
     one (a cluster shares its loop across channels); without it the
@@ -1071,24 +1078,20 @@ class AsyncClientChannel:
         if self._drainer is None:
             self._drainer = asyncio.get_running_loop().create_task(self._drain())
 
-    def _foldable(self, op: _Op) -> bool:
-        if op.kind == "SET":
-            return True  # keys were validated before enqueue
-        if op.kind in ("GET", "DEL"):
-            return _wire_key_ok(op.arg)
-        return False
-
     async def _drain(self) -> None:
         try:
             while self._queue and not self._closed:
                 op = self._queue.popleft()
                 run = [op]
-                if self._foldable(op):
+                if op.kind in _BATCH_KINDS:
+                    # Fold the same-kind batch ops queued behind this one
+                    # into its frame, up to batch_keys keys in all.
+                    nkeys = op.arg[1]
                     limit = self.config.batch_keys
                     queue = self._queue
-                    while (queue and len(run) < limit
-                           and queue[0].kind == op.kind
-                           and self._foldable(queue[0])):
+                    while (queue and queue[0].kind == op.kind
+                           and nkeys + queue[0].arg[1] <= limit):
+                        nkeys += queue[0].arg[1]
                         run.append(queue.popleft())
                 await self._execute(run)
         finally:
@@ -1098,36 +1101,24 @@ class AsyncClientChannel:
                 self._drainer = asyncio.get_running_loop().create_task(self._drain())
 
     async def _execute(self, run: List[_Op]) -> None:
-        if len(run) > 1:
-            try:
-                await self._run_fold(run[0].kind, run)
-            except Exception as exc:
-                for op in run:
-                    if not op.fut.done():
-                        op.fut.set_exception(exc)
-        else:
-            op = run[0]
-            try:
-                result = await self._run_single(op)
-            except Exception as exc:
-                op.fut.set_exception(exc)
+        self._spans = tuple(op.span for op in run)
+        try:
+            if run[0].kind in _BATCH_KINDS:
+                results = await self._run_batch(run)
             else:
+                results = [await self._run_single(run[0])]
+        except Exception as exc:
+            for op in run:
+                if not op.fut.done():
+                    op.fut.set_exception(exc)
+        else:
+            for op, result in zip(run, results):
                 op.fut.set_result(result)
 
     # --- execution on the loop -------------------------------------------
 
     async def _run_single(self, op: _Op):
         kind, arg = op.kind, op.arg
-        self._spans = (op.span,)
-        if kind == "GET":
-            return await self._roundtrip(f"GET {arg}")
-        if kind == "SET":
-            key, value = arg
-            await self._roundtrip(f"SET {key} {len(value)}", value)
-            return None
-        if kind == "DEL":
-            await self._roundtrip(f"DEL {arg}")
-            return None
         if kind == "PING":
             return await self._roundtrip("PING") == b"PONG"
         if kind == "KEYS":
@@ -1139,73 +1130,41 @@ class AsyncClientChannel:
             return None
         if kind == "LEN":
             return int(await self._roundtrip("LEN"))
-        if kind == "MGET":
-            payload, nkeys = arg
-            raw = await self._roundtrip(f"MGET {len(payload)}", payload)
-            values = _unpack_values(raw, nkeys)
-            self.stats.note_batch(nkeys)
-            return values
-        if kind == "MSET":
-            payload, nitems = arg
-            raw = await self._roundtrip(f"MSET {len(payload)}", payload)
-            try:
-                n = int(raw)
-            except ValueError:
-                raise WireProtocolError(f"malformed MSET response: {raw!r}") from None
-            self.stats.note_batch(nitems)
-            return n
-        if kind == "MDEL":
-            payload, nkeys = arg
-            raw = await self._roundtrip(f"MDEL {len(payload)}", payload)
-            if len(raw) != nkeys or raw.strip(b"01"):
-                raise WireProtocolError(f"malformed MDEL response: {raw[:64]!r}")
-            self.stats.note_batch(nkeys)
-            return [b == 0x31 for b in raw]
-        if kind == "MSETNX":
-            payload, nitems = arg
-            raw = await self._roundtrip(f"MSETNX {len(payload)}", payload)
-            if len(raw) != nitems or raw.strip(b"01"):
-                raise WireProtocolError(
-                    f"malformed MSETNX response: {raw[:64]!r}")
-            self.stats.note_batch(nitems)
-            return [b == 0x31 for b in raw]
         if kind == "SNAPSHOT":
             raw = await self._roundtrip("SNAPSHOT")
             return json.loads(raw.decode("utf-8"))
         raise StoreError(f"unknown channel op {kind!r}")
 
-    async def _run_fold(self, kind: str, run: List[_Op]) -> None:
-        n = len(run)
-        self._spans = tuple(op.span for op in run)
-        if kind == "GET":
-            keys = [op.arg for op in run]
-            payload = "\x00".join(keys).encode("utf-8")
-            raw = await self._roundtrip(f"MGET {len(payload)}", payload)
-            values = _unpack_values(raw, n)
-            self.stats.note_coalesced(n)
-            for op, value in zip(run, values):
-                if value is None:
-                    op.fut.set_exception(KeyNotFound(op.arg))
-                else:
-                    op.fut.set_result(value)
-        elif kind == "SET":
-            payload = _pack_items([op.arg for op in run])
-            await self._roundtrip(f"MSET {len(payload)}", payload)
-            self.stats.note_coalesced(n)
-            for op in run:
-                op.fut.set_result(None)
-        else:  # DEL
-            keys = [op.arg for op in run]
-            payload = "\x00".join(keys).encode("utf-8")
-            raw = await self._roundtrip(f"MDEL {len(payload)}", payload)
-            if len(raw) != n or raw.strip(b"01"):
-                raise WireProtocolError(f"malformed MDEL response: {raw[:64]!r}")
-            self.stats.note_coalesced(n)
-            for op, flag in zip(run, raw):
-                if flag == 0x31:
-                    op.fut.set_result(None)
-                else:
-                    op.fut.set_exception(KeyNotFound(op.arg))
+    async def _run_batch(self, run: List[_Op]) -> List:
+        """One frame for a run of same-kind batch ops; the reply is split
+        back by each op's key count."""
+        kind = run[0].kind
+        counts = [op.arg[1] for op in run]
+        total = sum(counts)
+        sep = b"" if kind in ("MSET", "MSETNX") else b"\x00"
+        payload = sep.join(op.arg[0] for op in run)
+        raw = await self._roundtrip(f"{kind} {len(payload)}", payload)
+        flat: Optional[List] = None  # MSET: each op gets its stored count
+        if kind == "MGET":
+            flat = _unpack_values(raw, total)
+        elif kind == "MSET":
+            if raw != b"%d" % total:
+                raise WireProtocolError(f"malformed MSET response: {raw!r}")
+        else:  # per-key '1'/'0' flags
+            if len(raw) != total or raw.strip(b"01"):
+                raise WireProtocolError(
+                    f"malformed {kind} response: {raw[:64]!r}")
+            flat = [b == 0x31 for b in raw]
+        self.stats.note_batch(total)
+        if len(run) > 1:
+            self.stats.note_coalesced(total)
+        if flat is None:
+            return counts
+        out, pos = [], 0
+        for n in counts:
+            out.append(flat[pos:pos + n])
+            pos += n
+        return out
 
     # --- connection + retry ladder ---------------------------------------
 
@@ -1318,13 +1277,17 @@ class AsyncClientChannel:
         return self._submit("PING")
 
     def set(self, key: str, value: bytes) -> None:
-        self._submit("SET", (_check_wire_key(key), value))
+        self.mset([(key, value)])
 
     def get(self, key: str) -> bytes:
-        return self._submit("GET", key)
+        value = self.mget([key])[0]
+        if value is None:
+            raise KeyNotFound(key)
+        return value
 
     def delete(self, key: str) -> None:
-        self._submit("DEL", key)
+        if not self.mdelete([key])[0]:
+            raise KeyNotFound(key)
 
     def keys(self, prefix: str = "") -> List[str]:
         return self._submit("KEYS", prefix)

@@ -28,9 +28,14 @@ the same hash-slot rule as the in-process cluster, and can replicate
 every hash slot across ``replication`` consecutive shards: writes go
 to every replica, reads fail over to the first healthy copy, and the
 slice of the keyspace a shard owns only becomes unavailable when *all*
-of its replicas are down. Per-shard health is tracked continuously
-(fail-over marks a shard down; a cooldown-gated probe fails it back),
-and a read-repair pass re-synchronizes replicas after a recovery.
+of its replicas are down. Keyed operations take one path: ``get``,
+``set`` and ``delete`` are one-key ``mget``, ``mset`` and ``mdelete``
+calls, whose keys are grouped once by placement (including slot
+migration windows) and sent per replica window through one replica
+ladder; the server keeps its single-key commands for hand-rolled
+peers. Per-shard health is tracked continuously (fail-over marks a
+shard down; a cooldown-gated probe fails it back), and a read-repair
+pass re-synchronizes replicas after a recovery.
 Cross-shard renames are two-phase: the destination copy is fully
 acknowledged before the source delete, so a shard death between the
 phases can orphan a duplicate but never lose the value.
@@ -39,8 +44,8 @@ Transport resilience (§5.1 / §6 — the in-memory store is the campaign's
 availability bottleneck):
 
 - the wire runs on one event-loop transport (:mod:`repro.datastore.aio`):
-  each shard is an :class:`~repro.datastore.aio.AsyncNetKVServer` and
-  the cluster holds one coalescing
+  each shard is a :class:`~repro.datastore.aio.NetKVServer` and the
+  cluster holds one coalescing
   :class:`~repro.datastore.aio.AsyncClientChannel` per shard;
 - every client operation runs under a per-operation timeout and a
   capped exponential-backoff retry loop (:class:`TransportConfig`);
@@ -80,8 +85,8 @@ from repro.datastore.base import (
 )
 from repro.datastore.aio import (
     AsyncClientChannel,
-    AsyncNetKVServer,
     LoopThread,
+    NetKVServer,
     WireProtocolError,
 )
 from repro.datastore.kvstore import _HASH_SLOTS, key_slot
@@ -143,21 +148,6 @@ class TransportConfig:
 
 def _chunks(seq: List, size: int) -> List[List]:
     return [seq[i:i + size] for i in range(0, len(seq), size)]
-
-
-class NetKVServer(AsyncNetKVServer):
-    """One networked shard wrapping an in-memory
-    :class:`~repro.datastore.kvstore.KVServer`.
-
-    The public name of :class:`repro.datastore.aio.AsyncNetKVServer`:
-    one dedicated loop thread per shard, one protocol object (not one
-    thread) per connection, zero-copy buffered framing, and write-queue
-    backpressure. ``fault_injector`` plugs a
-    :class:`~repro.util.faults.NetworkFaultInjector` into the accept
-    and request paths for degraded-network testing; ``max_connections``
-    bounds concurrently served connections and ``persist_dir`` makes
-    the shard durable (see OPERATIONS.md).
-    """
 
 
 # Internal namespace for deletion markers. A delete that cannot reach
@@ -315,35 +305,6 @@ class NetKVCluster:
             primary = self._primary_for_slot(key_slot(key))
         return self._window(primary)
 
-    def _placement(self, key: str) -> Tuple[
-            List[int], Optional[List[int]], Optional[List[int]]]:
-        """(current window, migration-target window or None, drain
-        window or None — the pre-cutover window of a slot whose old
-        copies have not been pruned yet)."""
-        slot = key_slot(key)
-        with self._route_lock:
-            primary = self._primary_for_slot(slot)
-            dst = self._migrating.get(slot)
-            src = self._draining.get(slot)
-        window = self._window(primary)
-        if dst is not None and dst != primary:
-            return window, self._window(dst), None
-        if src is not None and src != primary:
-            return window, None, self._window(src)
-        return window, None, None
-
-    def _migrating_slots(self) -> Optional[Dict[int, int]]:
-        """Snapshot of slots needing special handling (mid-migration or
-        draining), or None (the common case, so batch routing pays one
-        lock acquire and no copies).  Batch ops detour these keys
-        through the single-key paths, which know both windows."""
-        with self._route_lock:
-            if not self._migrating and not self._draining:
-                return None
-            out = dict(self._draining)
-            out.update(self._migrating)
-            return out
-
     # --- shared routing map ----------------------------------------------
 
     def _route_doc(self) -> bytes:
@@ -396,18 +357,21 @@ class NetKVCluster:
     def _refresh_route(self) -> None:
         """Adopt the newest published routing map, if any.
 
-        Reads the map from every reachable shard and adopts the highest
-        epoch that beats the local one; then (anti-entropy for the map
-        itself) rewrites the local map onto shards serving an older or
-        missing copy, so the map survives shards that were down when a
-        migration published it.
+        Reads the map from every up shard and adopts the highest epoch
+        that beats the local one; then (anti-entropy for the map itself)
+        rewrites the local map onto shards serving an older or missing
+        copy, so the map survives shards that were down when a migration
+        published it. A down shard due for a probe gets the one-attempt
+        :meth:`_probe`, never the data path's retry ladder.
         """
         n = len(self.clients)
         best: Optional[Dict[str, Any]] = None
         best_epoch = -1
         seen: Dict[int, int] = {}
         up, probe, _rest = self._split_health(list(range(n)))
-        for idx in up + probe:
+        for idx in probe:
+            self._probe(idx)  # one attempt; its map is read next poll
+        for idx in up:
             try:
                 raw = self._shard_op(idx, lambda c: c.get(_ROUTE_KEY))
             except KeyNotFound:
@@ -532,172 +496,223 @@ class NetKVCluster:
         self._mark_up(idx)
         return result
 
-    # --- single-key operations -------------------------------------------
+    def _ladder(self, replicas: List[int], call, what: str,
+                done=None) -> List[Tuple[int, Any]]:
+        """Run ``call(channel)`` over one replica window: the replica ladder.
 
-    def set(self, key: str, value: bytes) -> None:
-        self._maybe_repair()
-        self._maybe_refresh_route()
-        window, target, _drain = self._placement(key)
-        if target is None:
-            self._set_window(key, value, window)
-            return
-        # Dual-write while the slot migrates: the destination window is
-        # what survives cutover, so its ack is the one that counts; the
-        # source write keeps double-reads fresh and is best-effort.
-        self._set_window(key, value, target)
-        self.stats.note_dual_write()
-        try:
-            self._set_window(key, value, window)
-        except StoreUnavailable:
-            pass
-
-    def _set_window(self, key: str, value: bytes,
-                    replicas: List[int]) -> None:
+        Up replicas go first, in placement order. Only when none of them
+        answered are the probe-eligible and cooling replicas tried;
+        otherwise the probe-eligible ones get a half-open :meth:`_probe`.
+        Reads pass ``done()``, which stops the walk once it returns True.
+        Returns ``(shard, result)`` for every replica that answered, in
+        call order; raises :class:`StoreUnavailable` if none did.
+        """
         up, probe, rest = self._split_health(replicas)
-        acked: List[int] = []
+        answered: List[Tuple[int, Any]] = []
+        tried: List[int] = []
         last_exc: Optional[BaseException] = None
-
-        def attempt(idx: int) -> None:
-            nonlocal last_exc
-            try:
-                self._shard_op(idx, lambda c, k=key, v=value: c.set(k, v))
-                acked.append(idx)
-            except StoreUnavailable as exc:
-                last_exc = exc
-
-        for idx in up:
-            attempt(idx)
-        if not acked:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
-        if not acked:
-            raise StoreUnavailable(
-                f"no replica of {len(replicas)} accepted the write of {key!r}"
-            ) from last_exc
-        if self._tombstones:
-            self._clear_tombstones([key], acked)
-
-    def get(self, key: str) -> bytes:
-        self._maybe_repair()
-        self._maybe_refresh_route()
-        window, target, _drain = self._placement(key)
-        if target is None:
-            return self._get_window(key, window)
-        # Double-read while the slot migrates: the destination window
-        # has every write made since migration began; the source still
-        # holds the not-yet-copied past. NF only once both say NF.
-        first: Optional[BaseException] = None
-        try:
-            return self._get_window(key, target)
-        except (KeyNotFound, StoreUnavailable) as exc:
-            first = exc
-        try:
-            return self._get_window(key, window)
-        except KeyNotFound:
-            if isinstance(first, StoreUnavailable):
-                # The source proves absence of old data, but a write
-                # acked by the unreachable destination could exist.
-                raise first
-            raise
-
-    def _get_window(self, key: str, replicas: List[int]) -> bytes:
-        up, probe, rest = self._split_health(replicas)
-        attempted: List[int] = []
-        nf: List[int] = []
-        last_exc: Optional[BaseException] = None
-        value: Optional[bytes] = None
         for tier in (up, probe + rest):
-            if tier is not up and nf:
-                break  # NF from a live replica wins over probing dead ones
+            if answered:
+                break
             for idx in tier:
-                attempted.append(idx)
+                tried.append(idx)
                 try:
-                    value = self._shard_op(idx, lambda c, k=key: c.get(k))
-                except KeyNotFound:
-                    nf.append(idx)
-                    continue
+                    answered.append((idx, self._shard_op(idx, call)))
                 except StoreUnavailable as exc:
                     last_exc = exc
                     continue
-                break
-            if value is not None or nf:
-                break
+                if done is not None and done():
+                    break
         for idx in probe:
-            if idx not in attempted:
+            if idx not in tried:
                 self._probe(idx)
-        if value is None:
-            if nf:
-                raise KeyNotFound(key)
+        if not answered:
             raise StoreUnavailable(
-                f"all {len(replicas)} replica(s) for {key!r} are unavailable"
+                f"all {len(replicas)} replica(s) for {what} are unavailable"
             ) from last_exc
-        if len(attempted) > 1:
-            self.stats.note_failover()
-            trace.event("netkv.failover", key=key, served_by=attempted[-1])
-        if nf:
-            repaired = 0
-            for idx in nf:
-                try:
-                    self._shard_op(idx, lambda c, k=key, v=value: c.set(k, v))
-                    repaired += 1
-                except StoreError:
-                    pass
-            if repaired:
-                self.stats.note_read_repair(repaired)
+        return answered
+
+    def _route(self, keys: List[str]) -> Dict[Tuple[int, int, int], List[int]]:
+        """Key positions grouped by placement, from one route-lock snapshot.
+
+        The group key is ``(primary, target, drain)``: the owning shard,
+        the shard a migrating slot moves to, and the pre-cutover owner
+        of a draining slot whose old copies are not pruned yet (``-1``
+        where the slot is in neither state). Writes to a migrating slot
+        go to both windows and its reads try the target first; deletes
+        on a migrating or draining slot tombstone both windows.
+        """
+        n = len(self.clients)
+        slots = [key_slot(k) for k in keys]
+        groups: Dict[Tuple[int, int, int], List[int]] = {}
+        with self._route_lock:
+            owner, moving = self._slot_owner, self._migrating
+            draining = self._draining
+            for i, slot in enumerate(slots):
+                primary = owner.get(slot, slot % n)
+                target = moving.get(slot, -1)
+                drain = draining.get(slot, -1)
+                if target == primary:
+                    target = -1
+                if target >= 0 or drain == primary:
+                    drain = -1
+                groups.setdefault((primary, target, drain), []).append(i)
+        return groups
+
+    def _batches(self, keys: List[str]):
+        """``((primary, target, drain), positions)`` per routed chunk of at
+        most ``config.batch_keys`` keys, in shard order."""
+        for group, positions in sorted(self._route(keys).items()):
+            for chunk in _chunks(positions, self.config.batch_keys):
+                yield group, chunk
+
+    # --- keyed operations: single keys are one-key batches ----------------
+
+    def set(self, key: str, value: bytes) -> None:
+        self.mset([(key, value)])
+
+    def get(self, key: str) -> bytes:
+        value = self.mget([key])[0]
+        if value is None:
+            raise KeyNotFound(key)
         return value
 
     def delete(self, key: str) -> None:
+        if not self.mdelete([key])[0]:
+            raise KeyNotFound(key)
+
+    def mget(self, keys: List[str]) -> List[Optional[bytes]]:
+        """Values for ``keys`` in order (None where missing), batching
+        up to ``config.batch_keys`` keys per round trip with per-key
+        replica failover and read repair."""
         self._maybe_repair()
         self._maybe_refresh_route()
-        window, target, drain = self._placement(key)
-        if target is None and drain is None:
-            self._delete_window(key, window)
-            return
-        # Delete from both windows; the forced tombstone also stops the
-        # migration copier (including the post-cutover straggler pass
-        # over a draining slot) from resurrecting this key out of a
-        # source read that predates the delete.
-        other = target if target is not None else drain
-        replicas = list(dict.fromkeys(other + window))
-        self._delete_window(key, replicas, force_tombstone=True)
-
-    def _delete_window(self, key: str, replicas: List[int],
-                       force_tombstone: bool = False) -> None:
-        up, probe, rest = self._split_health(replicas)
-        reached: List[int] = []
-        found = False
-        last_exc: Optional[BaseException] = None
-
-        def attempt(idx: int) -> None:
-            nonlocal found, last_exc
+        keys = list(keys)
+        out: List[Optional[bytes]] = [None] * len(keys)
+        for (primary, target, _drain), chunk in self._batches(keys):
+            if target < 0:
+                self._read(keys, chunk, self._window(primary), out)
+                continue
+            # Double-read while the slot migrates: the target window has
+            # every write made since migration began; the source still
+            # holds the not-yet-copied past. Missing only once both say so.
+            lost: Optional[StoreUnavailable] = None
             try:
-                self._shard_op(idx, lambda c, k=key: c.delete(k))
-                reached.append(idx)
-                found = True
-            except KeyNotFound:
-                reached.append(idx)
+                self._read(keys, chunk, self._window(target), out)
             except StoreUnavailable as exc:
-                last_exc = exc
+                lost = exc
+            missing = [i for i in chunk if out[i] is None]
+            if missing:
+                self._read(keys, missing, self._window(primary), out)
+                if lost is not None and any(out[i] is None for i in missing):
+                    # The source proves absence of old data, but a write
+                    # acked by the unreachable target could exist.
+                    raise lost
+        return out
 
-        for idx in up:
-            attempt(idx)
-        if not reached:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
-        if not reached:
-            raise StoreUnavailable(
-                f"all {len(replicas)} replica(s) for {key!r} are unavailable"
-            ) from last_exc
-        if force_tombstone or len(reached) < len(replicas):
-            self._write_tombstones([key], reached)
-        if not found:
-            raise KeyNotFound(key)
+    def _read(self, keys: List[str], positions: List[int],
+              replicas: List[int], out: List[Optional[bytes]]) -> None:
+        """Fill ``out`` at ``positions`` from one replica window. Each
+        replica is asked only for the keys its predecessors lacked, and
+        a replica that answered without a key a peer held gets it back
+        (read repair)."""
+        remaining = list(positions)
+        attempts = 0
+        late = 0  # keys served past the first replica tried
+
+        def call(c) -> List[int]:
+            nonlocal remaining, attempts, late
+            attempts += 1
+            asked = remaining
+            values = c.mget([keys[i] for i in asked])
+            remaining = []
+            for i, value in zip(asked, values):
+                if value is None:
+                    remaining.append(i)
+                else:
+                    out[i] = value
+            if attempts > 1:
+                late += len(asked) - len(remaining)
+            return remaining
+
+        answered = self._ladder(replicas, call,
+                                f"a {len(positions)}-key read",
+                                done=lambda: not remaining)
+        if late:
+            self.stats.note_failover()
+            trace.event("netkv.failover", keys=late,
+                        served_by=answered[-1][0])
+        repaired = 0
+        for idx, missed in answered:
+            items = [(keys[i], out[i]) for i in missed if out[i] is not None]
+            if not items:
+                continue
+            try:
+                self._shard_op(idx, lambda c, it=items: c.mset(it))
+                repaired += len(items)
+            except StoreError:
+                pass
+        if repaired:
+            self.stats.note_read_repair(repaired)
+
+    def mset(self, items: List[Tuple[str, bytes]]) -> None:
+        """Write many key/value pairs, batching per primary shard and
+        replicating each batch; raises :class:`StoreUnavailable` if any
+        batch gets zero acknowledgements (earlier batches may have
+        landed — writes are at-least-once, as with single-key retries)."""
+        self._maybe_repair()
+        self._maybe_refresh_route()
+        items = list(items)
+        for (primary, target, _drain), chunk in self._batches(
+                [k for k, _ in items]):
+            batch = [items[i] for i in chunk]
+            if target < 0:
+                self._write(batch, self._window(primary))
+                continue
+            # Dual-write while the slot migrates: the target window is
+            # what survives cutover, so its ack is the one that counts;
+            # the source write keeps double-reads fresh and is best-effort.
+            self._write(batch, self._window(target))
+            for _ in batch:
+                self.stats.note_dual_write()
+            try:
+                self._write(batch, self._window(primary))
+            except StoreUnavailable:
+                pass
+
+    def _write(self, items: List[Tuple[str, bytes]],
+               replicas: List[int]) -> None:
+        acked = self._ladder(replicas, lambda c: c.mset(items),
+                             f"a {len(items)}-key write")
+        if self._tombstones:
+            self._clear_tombstones([k for k, _ in items],
+                                   [idx for idx, _ in acked])
+
+    def mdelete(self, keys: List[str]) -> List[bool]:
+        """Delete many keys; per-key flags say which existed on any
+        replica. Batched per primary shard like :meth:`mget`."""
+        self._maybe_repair()
+        self._maybe_refresh_route()
+        keys = list(keys)
+        flags = [False] * len(keys)
+        for (primary, target, drain), chunk in self._batches(keys):
+            batch = [keys[i] for i in chunk]
+            window = self._window(primary)
+            other = target if target >= 0 else drain
+            if other >= 0:
+                # Delete from both windows; the forced tombstone also
+                # stops the migration copier (including the post-cutover
+                # straggler pass over a draining slot) from resurrecting
+                # a key out of a source read that predates the delete.
+                window = list(dict.fromkeys(self._window(other) + window))
+            answered = self._ladder(window, lambda c: c.mdelete(batch),
+                                    f"a {len(batch)}-key delete")
+            reached = [idx for idx, _ in answered]
+            if other >= 0 or len(reached) < len(window):
+                self._write_tombstones(batch, reached)
+            for j, i in enumerate(chunk):
+                flags[i] = any(fl[j] for _, fl in answered)
+        return flags
 
     def keys(self, prefix: str = "") -> List[str]:
         self._maybe_repair()
@@ -749,12 +764,23 @@ class NetKVCluster:
     def rename(self, src: str, dst: str) -> None:
         self._maybe_repair()
         self._maybe_refresh_route()
-        special = self._migrating_slots()
-        src_replicas = self._replicas_for(src)
-        if (src_replicas == self._replicas_for(dst)
-                and not (special and (key_slot(src) in special
-                                      or key_slot(dst) in special))):
-            self._rename_native(src, dst, src_replicas)
+        groups = list(self._route([src, dst]))
+        if len(groups) == 1 and groups[0][1:] == (-1, -1):
+            # Same window, no migration in play: one RENAME per replica.
+            replicas = self._window(groups[0][0])
+
+            def call(c) -> bool:
+                try:
+                    c.rename(src, dst)
+                except KeyNotFound:
+                    return False
+                return True
+
+            answered = self._ladder(replicas, call, repr(src))
+            if not any(ok for _, ok in answered):
+                raise KeyNotFound(src)
+            if len(answered) < len(replicas):
+                self._write_tombstones([src], [idx for idx, _ in answered])
             return
         # Two-phase cross-shard move: the destination copy is fully
         # acknowledged before the source delete, so a shard death
@@ -769,263 +795,6 @@ class NetKVCluster:
         except StoreUnavailable:
             self.stats.note_rename_orphan()
             trace.event("netkv.rename_orphan", src=src, dst=dst)
-
-    def _rename_native(self, src: str, dst: str, replicas: List[int]) -> None:
-        """Same-window rename: one RENAME round trip per replica."""
-        up, probe, rest = self._split_health(replicas)
-        reached: List[int] = []
-        renamed = False
-        last_exc: Optional[BaseException] = None
-
-        def attempt(idx: int) -> None:
-            nonlocal renamed, last_exc
-            try:
-                self._shard_op(idx, lambda c, s=src, d=dst: c.rename(s, d))
-                reached.append(idx)
-                renamed = True
-            except KeyNotFound:
-                reached.append(idx)
-            except StoreUnavailable as exc:
-                last_exc = exc
-
-        for idx in up:
-            attempt(idx)
-        if not reached:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
-        if not reached:
-            raise StoreUnavailable(
-                f"all {len(replicas)} replica(s) for {src!r} are unavailable"
-            ) from last_exc
-        if not renamed:
-            raise KeyNotFound(src)
-        if len(reached) < len(replicas):
-            self._write_tombstones([src], reached)
-
-    # --- pipelined batch operations --------------------------------------
-
-    def _group_positions(self, keys: List[str],
-                         skip: Optional[Dict[int, int]] = None
-                         ) -> Dict[int, List[int]]:
-        """Key positions grouped by primary shard (batch routing).
-
-        Keys whose slot appears in ``skip`` (in-flight migrations) are
-        left out — the caller routes them through the single-key path,
-        which knows how to dual-write and double-read.
-        """
-        n = len(self.clients)
-        with self._route_lock:
-            owner = dict(self._slot_owner) if self._slot_owner else None
-        groups: Dict[int, List[int]] = {}
-        for i, k in enumerate(keys):
-            slot = key_slot(k)
-            if skip is not None and slot in skip:
-                continue
-            primary = owner.get(slot, slot % n) if owner else slot % n
-            groups.setdefault(primary, []).append(i)
-        return groups
-
-    def mget(self, keys: List[str]) -> List[Optional[bytes]]:
-        """Values for ``keys`` in order (None where missing), batching
-        up to ``config.batch_keys`` keys per round trip with per-key
-        replica failover and read repair."""
-        self._maybe_repair()
-        self._maybe_refresh_route()
-        keys = list(keys)
-        out: List[Optional[bytes]] = [None] * len(keys)
-        migrating = self._migrating_slots()
-        for primary, positions in sorted(
-                self._group_positions(keys, migrating).items()):
-            replicas = self._window(primary)
-            for chunk in _chunks(positions, self.config.batch_keys):
-                self._mget_chunk(keys, chunk, replicas, out)
-        if migrating:
-            # Keys mid-migration take the double-reading single-key path.
-            for i, k in enumerate(keys):
-                if key_slot(k) in migrating:
-                    try:
-                        out[i] = self.get(k)
-                    except KeyNotFound:
-                        out[i] = None
-        return out
-
-    def _mget_chunk(self, keys: List[str], positions: List[int],
-                    replicas: List[int], out: List[Optional[bytes]]) -> None:
-        up, probe, rest = self._split_health(replicas)
-        remaining = list(positions)
-        reached: List[Tuple[int, List[int]]] = []  # (shard, positions it lacked)
-        last_exc: Optional[BaseException] = None
-        nattempt = 0
-
-        def attempt(idx: int) -> None:
-            nonlocal remaining, last_exc, nattempt
-            nattempt += 1
-            try:
-                values = self._shard_op(
-                    idx, lambda c, ks=[keys[p] for p in remaining]: c.mget(ks))
-            except StoreUnavailable as exc:
-                last_exc = exc
-                return
-            still: List[int] = []
-            for p, v in zip(remaining, values):
-                if v is None:
-                    still.append(p)
-                else:
-                    out[p] = v
-            if nattempt > 1 and len(still) < len(remaining):
-                self.stats.note_failover()
-            reached.append((idx, still))
-            remaining = still
-
-        for idx in up:
-            attempt(idx)
-            if not remaining:
-                break
-        if not reached:
-            for idx in probe + rest:
-                attempt(idx)
-                if not remaining:
-                    break
-        else:
-            for idx in probe:
-                self._probe(idx)
-        if not reached:
-            raise StoreUnavailable(
-                f"all {len(replicas)} replica(s) for a {len(positions)}-key "
-                f"batch read are unavailable"
-            ) from last_exc
-        # Read repair: replicas that answered but lacked keys a peer had.
-        repaired = 0
-        for idx, missed in reached:
-            items = [(keys[p], out[p]) for p in missed if out[p] is not None]
-            if not items:
-                continue
-            try:
-                self._shard_op(idx, lambda c, it=items: c.mset(it))
-                repaired += len(items)
-            except StoreError:
-                pass
-        if repaired:
-            self.stats.note_read_repair(repaired)
-
-    def mset(self, items: List[Tuple[str, bytes]]) -> None:
-        """Write many key/value pairs, batching per primary shard and
-        replicating each batch; raises :class:`StoreUnavailable` if any
-        batch gets zero acknowledgements (earlier batches may have
-        landed — writes are at-least-once, as with single-key retries)."""
-        self._maybe_repair()
-        self._maybe_refresh_route()
-        items = list(items)
-        n = len(self.clients)
-        migrating = self._migrating_slots()
-        with self._route_lock:
-            owner = dict(self._slot_owner) if self._slot_owner else None
-        groups: Dict[int, List[Tuple[str, bytes]]] = {}
-        detour: List[Tuple[str, bytes]] = []
-        for k, v in items:
-            slot = key_slot(k)
-            if migrating is not None and slot in migrating:
-                detour.append((k, v))
-                continue
-            primary = owner.get(slot, slot % n) if owner else slot % n
-            groups.setdefault(primary, []).append((k, v))
-        for primary, group in sorted(groups.items()):
-            replicas = self._window(primary)
-            for chunk in _chunks(group, self.config.batch_keys):
-                self._mset_chunk(chunk, replicas)
-        for k, v in detour:
-            self.set(k, v)  # dual-writes while the slot migrates
-
-    def _mset_chunk(self, chunk: List[Tuple[str, bytes]],
-                    replicas: List[int]) -> None:
-        up, probe, rest = self._split_health(replicas)
-        acked: List[int] = []
-        last_exc: Optional[BaseException] = None
-
-        def attempt(idx: int) -> None:
-            nonlocal last_exc
-            try:
-                self._shard_op(idx, lambda c, it=chunk: c.mset(it))
-                acked.append(idx)
-            except StoreUnavailable as exc:
-                last_exc = exc
-
-        for idx in up:
-            attempt(idx)
-        if not acked:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
-        if not acked:
-            raise StoreUnavailable(
-                f"no replica of {len(replicas)} accepted a "
-                f"{len(chunk)}-key batch write"
-            ) from last_exc
-        if self._tombstones:
-            self._clear_tombstones([k for k, _ in chunk], acked)
-
-    def mdelete(self, keys: List[str]) -> List[bool]:
-        """Delete many keys; per-key flags say which existed on any
-        replica. Batched per primary shard like :meth:`mget`."""
-        self._maybe_repair()
-        self._maybe_refresh_route()
-        keys = list(keys)
-        flags = [False] * len(keys)
-        migrating = self._migrating_slots()
-        for primary, positions in sorted(
-                self._group_positions(keys, migrating).items()):
-            replicas = self._window(primary)
-            for chunk in _chunks(positions, self.config.batch_keys):
-                self._mdel_chunk(keys, chunk, replicas, flags)
-        if migrating:
-            for i, k in enumerate(keys):
-                if key_slot(k) in migrating:
-                    try:
-                        self.delete(k)  # both windows + copier tombstone
-                        flags[i] = True
-                    except KeyNotFound:
-                        flags[i] = False
-        return flags
-
-    def _mdel_chunk(self, keys: List[str], positions: List[int],
-                    replicas: List[int], flags: List[bool]) -> None:
-        up, probe, rest = self._split_health(replicas)
-        chunk_keys = [keys[p] for p in positions]
-        reached: List[int] = []
-        last_exc: Optional[BaseException] = None
-
-        def attempt(idx: int) -> None:
-            nonlocal last_exc
-            try:
-                fl = self._shard_op(idx, lambda c, ks=chunk_keys: c.mdelete(ks))
-            except StoreUnavailable as exc:
-                last_exc = exc
-                return
-            reached.append(idx)
-            for p, f in zip(positions, fl):
-                if f:
-                    flags[p] = True
-
-        for idx in up:
-            attempt(idx)
-        if not reached:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
-        if not reached:
-            raise StoreUnavailable(
-                f"all {len(replicas)} replica(s) for a {len(positions)}-key "
-                f"batch delete are unavailable"
-            ) from last_exc
-        if len(reached) < len(replicas):
-            self._write_tombstones(chunk_keys, reached)
 
     # --- tombstones -------------------------------------------------------
 
@@ -1384,56 +1153,26 @@ class NetKVCluster:
             need = [k for k, v, t in zip(chunk, have[:len(chunk)],
                                          have[len(chunk):])
                     if v is None and t is None]
-            items: List[Tuple[str, bytes]] = []
-            for k in need:
-                # Read the named window directly: a double-read via
-                # get() would consult the destination window first and
-                # read-repair the value onto it on overlap, making the
-                # MSETNX below report nothing stored and the drain
-                # accounting lie. Pre-cutover, _replicas_for still
-                # routes to the source; the post-cutover straggler pass
-                # passes the captured old window instead.
-                try:
-                    items.append((k, self._get_window(k, read_window(k))))
-                except KeyNotFound:
-                    continue  # deleted between the scan and this read
+            # Read each named window directly: a double-read via mget()
+            # would consult the destination window first and read-repair
+            # the value onto it on overlap, making the MSETNX below report
+            # nothing stored and the drain accounting lie. Pre-cutover,
+            # _replicas_for still routes to the source; the post-cutover
+            # straggler pass passes the captured old window instead.
+            windows: Dict[Tuple[int, ...], List[int]] = {}
+            for i, k in enumerate(need):
+                windows.setdefault(tuple(read_window(k)), []).append(i)
+            values: List[Optional[bytes]] = [None] * len(need)
+            for window, positions in windows.items():
+                self._read(need, positions, list(window), values)
+            # None: deleted between the scan and this read
+            items = [(k, v) for k, v in zip(need, values) if v is not None]
             if items:
-                copied += self._msetnx_window(items, dst_window)
+                answered = self._ladder(
+                    dst_window, lambda c, it=items: c.msetnx(it),
+                    f"a {len(items)}-key migration copy")
+                copied += max(sum(flags) for _, flags in answered)
         return copied
-
-    def _msetnx_window(self, items: List[Tuple[str, bytes]],
-                       replicas: List[int]) -> int:
-        """Replicated set-if-absent across a window; ack-on->=1 like
-        :meth:`_mset_chunk`. Returns how many keys were actually new."""
-        up, probe, rest = self._split_health(replicas)
-        acked: List[int] = []
-        stored = 0
-        last_exc: Optional[BaseException] = None
-
-        def attempt(idx: int) -> None:
-            nonlocal stored, last_exc
-            try:
-                flags = self._shard_op(idx, lambda c, it=items: c.msetnx(it))
-            except StoreUnavailable as exc:
-                last_exc = exc
-                return
-            acked.append(idx)
-            stored = max(stored, sum(flags))
-
-        for idx in up:
-            attempt(idx)
-        if not acked:
-            for idx in probe + rest:
-                attempt(idx)
-        else:
-            for idx in probe:
-                self._probe(idx)
-        if not acked:
-            raise StoreUnavailable(
-                f"no replica of {len(replicas)} accepted a "
-                f"{len(items)}-key migration copy"
-            ) from last_exc
-        return stored
 
     def _cleanup_moved(self, moving: set, sources: set,
                        dst_window: List[int]) -> None:

@@ -162,23 +162,23 @@ class TransportStats:
     ``bytes_sent`` / ``bytes_received`` — payload volume in bytes;
     ``latency`` — a :class:`LatencyHistogram` of round-trip times.
 
-    Replicated-cluster counters: ``failovers`` — reads served by a
-    non-primary replica because an earlier replica was down or missed
-    the key; ``shard_down_events`` / ``shard_up_events`` — health
+    Replicated-cluster counters: ``failovers`` — window reads that
+    served a key past the first replica tried, because an earlier
+    replica was down or missed the key; ``shard_down_events`` / ``shard_up_events`` — health
     transitions (fail-over and fail-back); ``read_repairs`` — stale or
     missing replica copies refreshed from a healthy peer;
     ``rename_orphans`` — two-phase renames whose delete leg could not
     complete (the source copy survives on a dead shard as a duplicate,
     never as a loss). Pipelining counters: ``batched_requests`` —
-    MGET/MSET/MDEL round trips; ``batched_keys`` — keys carried by
+    MGET/MSET/MSETNX/MDEL round trips (a single-key op is a one-key
+    batch); ``batched_keys`` — keys carried by
     those round trips; ``max_batch_keys`` — the deepest single batch
     (pipeline-depth high-water mark, a count not a cumulative sum).
     Coalescing counters (async transport): ``coalesced_requests`` —
     count of batch round trips the client channel synthesized by
-    folding concurrent single-key GET/SET/DEL ops into one
-    MGET/MSET/MDEL frame; ``coalesced_keys`` — cumulative count of
-    single-key ops absorbed by those folds (each fold saves
-    ``keys - 1`` round trips).
+    folding concurrent same-kind batch ops into one frame;
+    ``coalesced_keys`` — cumulative count of keys those folded frames
+    carried (a fold of n ops saves ``n - 1`` round trips).
     Slot-migration counters: ``migrated_slots`` / ``migrated_keys`` —
     hash slots cut over and keys copied by ``migrate_slots``;
     ``dual_writes`` — writes mirrored to both the old and new replica

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.datastore.aio import AsyncClientChannel, _Op
+from repro.datastore.aio import AsyncClientChannel, _Op, _pack_items
 from repro.datastore.base import KeyNotFound, StoreError, StoreUnavailable
 from repro.datastore.netkv import NetKVServer, TransportConfig
 
@@ -57,14 +57,27 @@ def _op(kind, arg):
     return _Op(kind, arg, concurrent.futures.Future())
 
 
+# One-key batch ops, exactly as the channel's get/set/delete queue them.
+def _mget(key):
+    return _op("MGET", (key.encode(), 1))
+
+
+def _mset(key, value):
+    return _op("MSET", (_pack_items([(key, value)]), 1))
+
+
+def _mdel(key):
+    return _op("MDEL", (key.encode(), 1))
+
+
 class TestCoalescing:
     def test_queued_gets_fold_into_one_mget(self, channel):
         for i in range(8):
             channel.set(f"k{i}", b"v%d" % i)
         channel.stats.reset()
-        ops = [_op("GET", f"k{i}") for i in range(8)]
+        ops = [_mget(f"k{i}") for i in range(8)]
         futs = _enqueue_batch(channel, ops)
-        assert [f.result(10) for f in futs] == [b"v%d" % i for i in range(8)]
+        assert [f.result(10) for f in futs] == [[b"v%d" % i] for i in range(8)]
         assert channel.stats.coalesced_requests == 1
         assert channel.stats.coalesced_keys == 8
         assert channel.stats.max_batch_keys >= 8
@@ -74,18 +87,18 @@ class TestCoalescing:
         channel.set("b", b"2")
         channel.stats.reset()
         ops = [
-            _op("GET", "a"),
-            _op("GET", "b"),
-            _op("SET", ("c", b"3")),
-            _op("SET", ("d", b"4")),
-            _op("DEL", "a"),
-            _op("DEL", "b"),
+            _mget("a"),
+            _mget("b"),
+            _mset("c", b"3"),
+            _mset("d", b"4"),
+            _mdel("a"),
+            _mdel("b"),
         ]
         futs = _enqueue_batch(channel, ops)
-        assert futs[0].result(10) == b"1"
-        assert futs[1].result(10) == b"2"
-        for f in futs[2:]:
-            assert f.result(10) is None
+        assert futs[0].result(10) == [b"1"]
+        assert futs[1].result(10) == [b"2"]
+        assert [f.result(10) for f in futs[2:4]] == [1, 1]
+        assert [f.result(10) for f in futs[4:]] == [[True], [True]]
         # Three same-kind runs of two: MGET, MSET, MDEL — never a mix.
         assert channel.stats.coalesced_requests == 3
         assert channel.stats.coalesced_keys == 6
@@ -96,25 +109,38 @@ class TestCoalescing:
 
     def test_folded_miss_maps_back_to_the_one_caller(self, channel):
         channel.set("hit", b"x")
-        ops = [_op("GET", "hit"), _op("GET", "miss"), _op("GET", "hit")]
+        ops = [_mget("hit"), _mget("miss"), _mget("hit")]
         futs = _enqueue_batch(channel, ops)
-        assert futs[0].result(10) == b"x"
+        assert futs[0].result(10) == [b"x"]
+        assert futs[1].result(10) == [None]
+        assert futs[2].result(10) == [b"x"]
         with pytest.raises(KeyNotFound):
-            futs[1].result(10)
-        assert futs[2].result(10) == b"x"
+            channel.get("miss")
 
-    def test_unfoldable_key_ships_alone(self, channel):
-        channel.set("good", b"g")
+    def test_fold_stops_at_batch_keys(self, server):
+        chan = AsyncClientChannel(server.address,
+                                  TransportConfig(batch_keys=3))
+        try:
+            ops = [_mset(f"k{i}", b"v") for i in range(5)]
+            futs = _enqueue_batch(chan, ops)
+            assert [f.result(10) for f in futs] == [1] * 5
+            # 3 + 2 keys: two folded frames, never one past batch_keys.
+            assert chan.stats.coalesced_requests == 2
+            assert chan.stats.max_batch_keys == 3
+        finally:
+            chan.close()
+
+    def test_reserved_byte_key_raises_at_the_call(self, channel):
+        channel.ping()
         channel.stats.reset()
-        # "bad key" can't ride in an MGET frame (the wire uses NUL/space
-        # framing), so it must break the run and ship as a single GET.
-        ops = [_op("GET", "good"), _op("GET", "bad key"), _op("GET", "good")]
-        futs = _enqueue_batch(channel, ops)
-        assert futs[0].result(10) == b"g"
-        with pytest.raises(StoreError):
-            futs[1].result(10)
-        assert futs[2].result(10) == b"g"
-        assert channel.stats.coalesced_requests == 0
+        for call in (lambda: channel.get("bad key"),
+                     lambda: channel.set("bad\nkey", b"v"),
+                     lambda: channel.delete("bad\x00key")):
+            with pytest.raises(StoreError):
+                call()
+        # Rejected before queueing: nothing reached the wire.
+        assert channel.stats.requests == 0
+        assert not channel._pending and not channel._queue
 
     def test_concurrent_callers_coalesce_and_stay_correct(self, server):
         chan = AsyncClientChannel(server.address, TransportConfig())

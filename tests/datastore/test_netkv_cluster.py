@@ -137,23 +137,57 @@ class TestReplicaFailover:
             with pytest.raises(StoreUnavailable):
                 cluster.keys("")  # a dead window must refuse, not lie
 
-    def test_half_open_probe_is_one_attempt_without_backoff(self):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_read_past_a_dead_primary_counts_one_failover(self, batch):
+        """The failover rule is one per window read: ``failovers`` +1
+        and one ``netkv.failover`` event carrying ``keys=``, for a
+        single-key get and for a one-window mget alike."""
+        from repro import trace
+
+        with live_cluster(2, replication=2) as (servers, cluster):
+            tag = key_on_shard(cluster, 0, "fo")
+            keys = ["{%s}%d" % (tag, i) for i in range(3)]
+            cluster.mset([(k, k.encode()) for k in keys])
+            servers[0].stop()  # the primary of the window [0, 1]
+            asked = keys if batch else keys[:1]
+            before = cluster.stats.failovers
+            trace.enable()
+            try:
+                with trace.span("test.read") as sp:
+                    if batch:
+                        values = cluster.mget(asked)
+                    else:
+                        values = [cluster.get(asked[0])]
+            finally:
+                trace.disable()
+            assert values == [k.encode() for k in asked]
+            assert cluster.stats.failovers - before == 1
+            failovers = [e["attrs"] for e in sp.events
+                         if e["name"] == "netkv.failover"]
+            assert failovers == [{"keys": len(asked), "served_by": 1}]
+
+    @pytest.mark.parametrize("route_refresh", [0, 1.0])
+    def test_half_open_probe_is_one_attempt_without_backoff(
+            self, route_refresh):
         """Once the cooldown of a down shard elapses, the next operation
         probes it with exactly one connection attempt: no retry ladder
         and no backoff, whatever the data path's config says. Here a
-        ladder would sleep 0.5 + 1 + 1 + 1 s, far past the bound."""
+        ladder would sleep 0.5 + 1 + 1 + 1 s, far past the bound. With
+        ``route_refresh`` due too, the routing-map poll must not read
+        the down shard through the data path's ladder either."""
         config = TransportConfig(op_timeout=0.5, connect_timeout=0.5,
                                  retries=4, backoff_base=0.5,
                                  backoff_max=1.0, jitter=0.0,
-                                 route_refresh=0)
+                                 route_refresh=route_refresh)
         with live_cluster(2, replication=2, config=config) as (
                 servers, cluster):
-            clock = [0.0]
+            clock = [cluster._route_last]
             cluster._now = lambda: clock[0]
             cluster.set("warm", b"v")  # both channels connected once
             servers[1].stop()  # shard 1 stays dead from here on
             cluster._mark_down(1)
-            clock[0] += cluster.probe_cooldown
+            # past both the probe cooldown and the refresh interval
+            clock[0] += max(cluster.probe_cooldown, route_refresh) + 0.01
             retries, exhausted = cluster.stats.retries, cluster.stats.exhausted
             t0 = time.monotonic()
             cluster.set("k", b"v")  # acked by shard 0, then probes shard 1

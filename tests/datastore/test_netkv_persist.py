@@ -1,7 +1,7 @@
 """Durable-shard integration tests: crash/restart recovery over the wire.
 
 The WAL unit tests (test_wal.py) prove the log itself; these prove the
-shard: an ``AsyncNetKVServer`` started with ``persist_dir`` acks a
+shard: a ``NetKVServer`` started with ``persist_dir`` acks a
 mutation only after the record is fsynced, so killing the process (or
 here, stopping the server without any orderly flush of the backend)
 and restarting on the same directory recovers exactly the acked set —
@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.datastore.aio import AsyncClientChannel, AsyncNetKVServer
+from repro.datastore.aio import AsyncClientChannel
 from repro.datastore.base import KeyNotFound, StoreError, StoreUnavailable
 from repro.datastore.netkv import (
     NetKVCluster,
@@ -40,8 +40,8 @@ NOSYNC = DurabilityConfig(fsync=False)
 
 
 def durable_server(tmp_path, name, port=0, durability=NOSYNC):
-    srv = AsyncNetKVServer(port=port, persist_dir=str(tmp_path / name),
-                           durability=durability)
+    srv = NetKVServer(port=port, persist_dir=str(tmp_path / name),
+                      durability=durability)
     return srv.start()
 
 
@@ -341,6 +341,114 @@ def test_interrupted_cleanup_resumes_on_rerun(tmp_path):
         for i in range(40):
             assert cluster.get(f"key{i}") == b"val%d" % i
     finally:
+        cluster.close()
+        for s in servers:
+            s.stop()
+
+
+def _hash_tags(pred, count):
+    """``count`` hash tags whose slot satisfies ``pred``."""
+    tags, i = [], 0
+    while len(tags) < count:
+        if pred(key_slot(f"t{i}")):
+            tags.append(f"t{i}")
+        i += 1
+    return tags
+
+
+@pytest.mark.multi_server
+def test_operations_inside_the_migration_windows(tmp_path):
+    """Single-key and batch operations issued while slots migrate (dual
+    write, double read) and while they drain (deletes tombstone both
+    windows) must leave exactly the state a dict model predicts.
+
+    Four shards with replication=2 make the source window [0, 1] and the
+    destination window [2, 3] disjoint, so a read that consulted only
+    one of them during the migration would visibly miss. The hook on
+    ``_route_grace`` runs once after the mark and once after cutover.
+    """
+    servers = [durable_server(tmp_path, f"shard{i}") for i in range(4)]
+    cluster = NetKVCluster([s.address for s in servers], config=FAST,
+                           replication=2, probe_cooldown=0.05)
+    other = None
+    move = _hash_tags(lambda s: s % 4 == 0, 2)  # primary 0 -> moves to 2
+    stay = _hash_tags(lambda s: s % 4 == 1, 1)
+    moving = sorted({key_slot(t) for t in move})
+
+    def mk(tag, name):
+        return "{%s}%s" % (tag, name)
+
+    model = {}
+    for tag in move + stay:
+        for j in range(10):
+            model[mk(tag, f"k{j}")] = b"%s-v%d" % (tag.encode(), j)
+    touched = set(model)
+    try:
+        cluster.mset(sorted(model.items()))
+
+        def ops(phase):
+            m0, m1, s0 = move[0], move[1], stay[0]
+            if phase == 1:
+                # Only the source window holds this key yet.
+                assert cluster.get(mk(m0, "k1")) == model[mk(m0, "k1")]
+            # overwrite, new key, delete, rename inside a moving slot
+            for key, val in ((mk(m0, f"k{phase}"), b"over%d" % phase),
+                             (mk(m0, f"new{phase}"), b"new%d" % phase)):
+                cluster.set(key, val)
+                model[key] = val
+            cluster.delete(mk(m0, f"k{2 + phase}"))
+            model.pop(mk(m0, f"k{2 + phase}"))
+            src, dst = mk(m0, f"k{4 + phase}"), mk(m0, f"ren{phase}")
+            cluster.rename(src, dst)
+            model[dst] = model.pop(src)
+            assert cluster.get(dst) == model[dst]
+            # batches mixing moving and non-moving keys
+            items = [(mk(m1, f"k{phase}"), b"b%d" % phase),
+                     (mk(s0, f"k{phase}"), b"bs%d" % phase),
+                     (mk(m1, f"bnew{phase}"), b"bn%d" % phase)]
+            cluster.mset(items)
+            model.update(items)
+            probe = [mk(m1, f"k{phase}"), mk(s0, f"k{2 + phase}"),
+                     mk(m1, f"k{6 + phase}"), mk(m1, "absent"),
+                     mk(m0, f"k{2 + phase}")]
+            assert cluster.mget(probe) == [model.get(k) for k in probe]
+            doomed = [mk(m1, f"k{8 + phase - 1}"), mk(s0, f"k{4 + phase}"),
+                      mk(m1, "absent")]
+            assert cluster.mdelete(doomed) == [True, True, False]
+            for k in doomed:
+                model.pop(k, None)
+            touched.update(model)
+            touched.update(doomed + probe + [src])
+
+        calls = []
+
+        def grace():
+            calls.append(cluster.replica_health())
+            ops(len(calls))
+
+        cluster._route_grace = grace
+        result = cluster.migrate_slots(moving, 2)
+        assert result["slots"] == len(moving)
+        assert [c["migrating_slots"] for c in calls] == [len(moving), 0]
+        assert [c["draining_slots"] for c in calls] == [0, len(moving)]
+        assert cluster.stats.dual_writes > 0
+
+        # A second instance adopts the published map and sees the model:
+        # new values visible, deletes not resurrected by the straggler pass.
+        other = NetKVCluster([s.address for s in servers], config=FAST,
+                             replication=2, probe_cooldown=0.05)
+        other._refresh_route()
+        assert other.replica_health()["routing_epoch"] == result["epoch"]
+        for key in sorted(touched):
+            if key in model:
+                assert other.get(key) == model[key], key
+            else:
+                with pytest.raises(KeyNotFound):
+                    other.get(key)
+        assert other.keys() == sorted(model)
+    finally:
+        if other is not None:
+            other.close()
         cluster.close()
         for s in servers:
             s.stop()
