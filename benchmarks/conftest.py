@@ -100,8 +100,8 @@ def record_json(filename: str, key: str, payload: Dict[str, Any]) -> None:
 def campaign_result():
     """The full paper-ledger campaign, simulated once per bench session.
 
-    Takes about a minute of wall time for 600,600 virtual node-hours;
-    Table 1 and Figs. 3-5 all read from this one run.
+    Takes about 16 s of wall time on a 2-core host for 600,600 virtual
+    node-hours; Table 1 and Figs. 3-5 all read from this one run.
     """
     sim = CampaignSimulator(CampaignConfig(seed=2021))
     return sim.run()

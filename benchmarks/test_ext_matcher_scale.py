@@ -10,12 +10,15 @@ the scan dismisses whole partitions with one summary check each.
 This sweep probes a nearly-full machine (all but 8 nodes claimed) at
 4k/10k/20k/40k nodes for every (policy × partitioned) variant and
 records per-call wall time, visit counts, and partition skips to
-``BENCH_matcher.json``. Two guards make it a regression test:
+``BENCH_matcher.json``. Three guards make it a regression test:
 
 - partitioned first-match per-call wall time at 40k stays within 3× of
   4k (the flat scan is ~10× — it scans 10× the nodes);
 - the visit-count ratio is deterministic: partitioned stays flat-ish
-  across a 10× machine-size jump while the flat scan grows ~linearly.
+  across a 10× machine-size jump while the flat scan grows ~linearly;
+- partitioned low-id-first per-call wall time stays within 1.5× of the
+  flat scan at every size. Its smaller visit count once hid a 2×
+  wall-time regression here, so this bound is on wall time.
 """
 
 import pytest
@@ -28,6 +31,7 @@ NODE_COUNTS = [4000, 10_000, 20_000, 40_000]
 HOLES = 8
 PROBES = 200
 REPEATS = 3  # best-of, to shrug off scheduler noise on shared runners
+LOW_ID_WALL_RATIO_BOUND = 1.5
 
 VARIANTS = [
     (MatchPolicy.LOW_ID_FIRST, False),
@@ -90,7 +94,14 @@ def test_matcher_scale_sweep(benchmark):
     wall_ratio_flat = fm_flat_large.mean_call_seconds / fm_flat_small.mean_call_seconds
     visit_ratio_part = fm_part_large.visits_per_call / fm_part_small.visits_per_call
     visit_ratio_flat = fm_flat_large.visits_per_call / fm_flat_small.visits_per_call
+    low_id_ratios = {
+        str(nnodes): results[(nnodes, MatchPolicy.LOW_ID_FIRST, True)].mean_call_seconds
+        / results[(nnodes, MatchPolicy.LOW_ID_FIRST, False)].mean_call_seconds
+        for nnodes in NODE_COUNTS
+    }
     payload["guard"] = {
+        "low_id_wall_ratio_partitioned_over_flat": low_id_ratios,
+        "low_id_wall_ratio_bound": LOW_ID_WALL_RATIO_BOUND,
         "node_span": [NODE_COUNTS[0], NODE_COUNTS[-1]],
         "first_match_wall_ratio_partitioned": wall_ratio_part,
         "first_match_wall_ratio_flat": wall_ratio_flat,
@@ -104,6 +115,10 @@ def test_matcher_scale_sweep(benchmark):
         f"visits x{visit_ratio_part:.2f} vs x{visit_ratio_flat:.2f} "
         f"(machine grew x{NODE_COUNTS[-1]/NODE_COUNTS[0]:.0f})"
     )
+    lines.append(
+        "low-id-first partitioned/flat wall: "
+        + ", ".join(f"{int(n) // 1000}k x{r:.2f}" for n, r in low_id_ratios.items())
+    )
     report("ext_matcher_scale", lines)
     record_json("BENCH_matcher.json", "matcher_scale_sweep", payload)
 
@@ -113,6 +128,14 @@ def test_matcher_scale_sweep(benchmark):
         f"partitioned first-match degraded {wall_ratio_part:.2f}x from "
         f"{NODE_COUNTS[0]} to {NODE_COUNTS[-1]} nodes (bound: 3x)"
     )
+    # The default matcher (low-id-first, partitioned) must not pay wall
+    # time for its smaller visit count.
+    for nnodes, ratio in low_id_ratios.items():
+        assert ratio <= LOW_ID_WALL_RATIO_BOUND, (
+            f"partitioned low-id-first is {ratio:.2f}x the flat scan's "
+            f"per-call wall time at {nnodes} nodes "
+            f"(bound: {LOW_ID_WALL_RATIO_BOUND}x)"
+        )
     # Deterministic sublinearity: visit counts, unlike wall time, have
     # no noise. The flat scan's per-call visits grow ~linearly with the
     # machine (10x nodes -> ~10x visits); the partitioned scan's must

@@ -182,11 +182,14 @@ class FluxInstance:
         return out
 
     def running_by_name(self) -> Dict[str, int]:
-        """Running-job counts per job type (for Fig. 6-style series)."""
-        out: Dict[str, int] = {}
-        for record in self.queue.running.values():
-            out[record.spec.name] = out.get(record.spec.name, 0) + 1
-        return out
+        """Running-job counts per job type (for Fig. 6-style series).
+
+        A fresh copy of the queue's incremental per-name count, so the
+        WM's and profiler's polls cost O(job names) rather than
+        O(running jobs). Only names with at least one running job
+        appear; key order is not part of the contract.
+        """
+        return dict(self.queue.running_names)
 
     def history_rows(self) -> List[dict]:
         """Replayable scheduler history (§4.4 'elaborate history files')."""

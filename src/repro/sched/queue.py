@@ -27,6 +27,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.sched.jobspec import JobRecord, JobSpec, JobState
 from repro.sched.matcher import Matcher, MatchPolicy
+from repro.sched.resources import Allocation
 
 __all__ = ["QueueMode", "QueueCosts", "QueueManager", "CycleReport",
            "DEFAULT_BACKFILL_WINDOW"]
@@ -88,6 +89,13 @@ class QueueManager:
     - *preemption*: with ``preemption=True``, a blocked head of higher
       priority evicts the lowest-priority running jobs; evicted jobs
       are requeued directly behind the head for restart.
+
+    ``running`` maps job id to record for every RUNNING job, and
+    ``running_names`` counts those jobs per spec name. Only
+    :meth:`_start` and :meth:`_stop` change either, so the counts always
+    equal a recount over ``running.values()`` and hold no zero entries;
+    the profiler's polls read them in O(job names), not O(running
+    jobs). Their key order is not part of the contract.
     """
 
     def __init__(
@@ -113,6 +121,7 @@ class QueueManager:
         self.inbox: Deque[JobRecord] = deque()   # submitted, not yet ingested
         self.pending: Deque[JobRecord] = deque()  # ingested, awaiting match
         self.running: Dict[int, JobRecord] = {}
+        self.running_names: Dict[str, int] = {}
         self.history: List[CycleReport] = []
 
     # --- submission ------------------------------------------------------
@@ -219,11 +228,7 @@ class QueueManager:
         if allocs is None:
             return cost, False
         for record, alloc in zip(members, allocs):
-            record.allocation = alloc
-            record.state = JobState.RUNNING
-            record.start_time = now
-            self.running[record.job_id] = record
-            report.started.append(record)
+            self._start(record, alloc, now, report)
             self.pending.remove(record)
         self.gangs_placed += 1
         return cost, True
@@ -255,7 +260,7 @@ class QueueManager:
         if outcome is None:
             return cost
         alloc, evicted_ids = outcome
-        requeued = [self.running.pop(job_id) for job_id in evicted_ids]
+        requeued = [self._stop(job_id) for job_id in evicted_ids]
         for record in requeued:
             record.state = JobState.PENDING
             record.allocation = None
@@ -265,11 +270,7 @@ class QueueManager:
         # Reinsert behind the head, preserving original order.
         for record in reversed(requeued):
             self.pending.insert(1, record)
-        head.allocation = alloc
-        head.state = JobState.RUNNING
-        head.start_time = now
-        self.running[head.job_id] = head
-        report.started.append(head)
+        self._start(head, alloc, now, report)
         return cost
 
     def _attempt(self, record: JobRecord, now: float, report: CycleReport) -> float:
@@ -282,11 +283,7 @@ class QueueManager:
         )
         report.match_time += cost
         if alloc is not None:
-            record.allocation = alloc
-            record.state = JobState.RUNNING
-            record.start_time = now
-            self.running[record.job_id] = record
-            report.started.append(record)
+            self._start(record, alloc, now, report)
         return cost
 
     def _backfill(self, report: CycleReport, now: float, budget: float) -> float:
@@ -307,12 +304,36 @@ class QueueManager:
                 self.backfilled += 1
         return budget
 
+    # --- the running set ---------------------------------------------------
+
+    def _start(self, record: JobRecord, alloc: Allocation, now: float,
+               report: CycleReport) -> None:
+        """Move a placed job into the running set."""
+        record.allocation = alloc
+        record.state = JobState.RUNNING
+        record.start_time = now
+        self.running[record.job_id] = record
+        name = record.spec.name
+        self.running_names[name] = self.running_names.get(name, 0) + 1
+        report.started.append(record)
+
+    def _stop(self, job_id: int) -> JobRecord:
+        """Take a job out of the running set; returns its record."""
+        record = self.running.pop(job_id)
+        name = record.spec.name
+        left = self.running_names[name] - 1
+        if left:
+            self.running_names[name] = left
+        else:
+            del self.running_names[name]
+        return record
+
     # --- completion/cancellation (driven by FluxInstance) ----------------
 
     def finish(self, record: JobRecord, now: float, state: JobState = JobState.COMPLETED) -> None:
         if record.job_id not in self.running:
             raise KeyError(f"job {record.job_id} is not running")
-        del self.running[record.job_id]
+        self._stop(record.job_id)
         record.state = state
         record.end_time = now
         if record.allocation is not None:

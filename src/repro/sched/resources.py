@@ -224,19 +224,19 @@ class ResourceGraph:
 
     @property
     def free_cores(self) -> int:
-        return sum(n.free_cores for n in self.nodes if not n.drained)
+        return int(self._fc[~self._drained_mask].sum())
 
     @property
     def free_gpus(self) -> int:
-        return sum(n.free_gpus for n in self.nodes if not n.drained)
+        return int(self._fg[~self._drained_mask].sum())
 
     @property
     def used_cores(self) -> int:
-        return self.total_cores - sum(n.free_cores for n in self.nodes)
+        return self.total_cores - int(self._fc.sum())
 
     @property
     def used_gpus(self) -> int:
-        return self.total_gpus - sum(n.free_gpus for n in self.nodes)
+        return self.total_gpus - int(self._fg.sum())
 
     def total_vertices(self) -> int:
         """All vertices in the graph (the matcher's worst-case traversal)."""
@@ -439,25 +439,22 @@ class ResourceGraph:
         """
         if exclusive and (ncores > self.cores_per_node or ngpus > self.gpus_per_node):
             return np.empty(0, dtype=np.int64), 0, 0
-        chunks: List[np.ndarray] = []
-        examined = 0
-        skipped = 0
-        for p in range(self.npartitions):
-            if not self.partition_feasible(p, ncores, ngpus, exclusive):
-                skipped += 1
-                continue
-            lo, hi = self._partition_bounds(p)
-            if exclusive:
-                ok = (self._fc[lo:hi] == self.cores_per_node) & (
-                    self._fg[lo:hi] == self.gpus_per_node
-                )
-            else:
-                ok = (self._fc[lo:hi] >= ncores) & (self._fg[lo:hi] >= ngpus)
-            ok &= ~self._drained_mask[lo:hi]
-            chunks.append(np.nonzero(ok)[0] + lo)
-            examined += hi - lo
-        ids = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        return ids, examined, skipped
+        # One watermark mask over all partitions, expanded to nodes: the
+        # node test runs as one vectorized pass, and the skip accounting
+        # comes from the partition mask alone.
+        if exclusive:
+            part_ok = self._part_nvacant > 0
+        else:
+            part_ok = (self._part_max_fc >= ncores) & (self._part_max_fg >= ngpus)
+        n = len(self.nodes)
+        psize = self.partition_size
+        mask = self.feasible_mask(ncores, ngpus, exclusive)
+        mask &= np.repeat(part_ok, psize)[:n]
+        kept = int(np.count_nonzero(part_ok))
+        examined = kept * psize
+        if part_ok[-1]:
+            examined -= self.npartitions * psize - n  # the short last partition
+        return np.nonzero(mask)[0], examined, self.npartitions - kept
 
     # --- resilience -------------------------------------------------------------
 

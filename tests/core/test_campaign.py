@@ -1,5 +1,7 @@
 """Tests for the discrete-event campaign simulator."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,30 @@ class TestDeterminism:
             CampaignConfig(ledger=(RunSpec(10, 2, 1),), seed=2)
         ).run()
         assert a.cg_lengths_us != b.cg_lengths_us
+
+
+    def test_running_counts_match_the_recount_reference(self, monkeypatch):
+        """The queue's incremental per-name count drives the campaign
+        exactly as a recount over every running job does."""
+        from repro.sched.flux import FluxInstance
+
+        cfg = CampaignConfig(ledger=(RunSpec(20, 3, 1), RunSpec(40, 4, 1)),
+                             node_failures_per_1000node_day=200.0, seed=13)
+        fast = CampaignSimulator(cfg)
+        fast.run()
+        assert fast.total_node_failures > 0
+
+        def recount(flux):
+            out = {}
+            for record in flux.queue.running.values():
+                out[record.spec.name] = out.get(record.spec.name, 0) + 1
+            return out
+
+        monkeypatch.setattr(FluxInstance, "running_by_name", recount)
+        slow = CampaignSimulator(cfg)
+        slow.run()
+        assert (json.dumps(fast.state_dict(), sort_keys=True)
+                == json.dumps(slow.state_dict(), sort_keys=True))
 
 
 class TestLoadCurves:

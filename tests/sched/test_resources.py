@@ -172,3 +172,43 @@ def test_property_array_mirror_stays_consistent(ops):
         for n in g.nodes:
             assert g._fc[n.node_id] == n.free_cores
             assert g._fg[n.node_id] == n.free_gpus
+
+
+def test_occupancy_properties_equal_per_node_sums():
+    """The array-backed aggregates the profiler polls agree with sums
+    over the Node objects across claims, releases, drains and undrains."""
+    rng = np.random.default_rng(5)
+    g = ResourceGraph(24, cores_per_node=8, gpus_per_node=3, partition_size=5)
+    allocs = []
+
+    def check():
+        live = [n for n in g.nodes if not n.drained]
+        assert g.free_cores == sum(n.free_cores for n in live)
+        assert g.free_gpus == sum(n.free_gpus for n in live)
+        assert g.used_cores == g.total_cores - sum(n.free_cores for n in g.nodes)
+        assert g.used_gpus == g.total_gpus - sum(n.free_gpus for n in g.nodes)
+        for value in (g.free_cores, g.free_gpus, g.used_cores, g.used_gpus):
+            assert type(value) is int
+
+    kinds = set()
+    for _ in range(400):
+        op = rng.random()
+        node = g.nodes[int(rng.integers(len(g)))]
+        if op < 0.5 and not node.drained and (node.free_cores or node.free_gpus):
+            cores, gpus = node.pick(int(rng.integers(0, node.free_cores + 1)),
+                                    int(rng.integers(0, node.free_gpus + 1)))
+            allocs.append(g.claim([(node.node_id, cores, gpus)]))
+            kinds.add("claim")
+        elif op < 0.8 and allocs:
+            g.release(allocs.pop(int(rng.integers(len(allocs)))))
+            kinds.add("release")
+        elif op < 0.9:
+            g.drain(node.node_id)
+            kinds.add("drain")
+        elif node.drained:
+            g.undrain(node.node_id)
+            kinds.add("undrain")
+        check()
+        if g.used_cores and g.drained_nodes():
+            kinds.add("busy while drained")
+    assert kinds == {"claim", "release", "drain", "undrain", "busy while drained"}
