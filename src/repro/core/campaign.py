@@ -368,8 +368,8 @@ class CampaignSimulator:
             fail_rng = self.rngs.child(f"failures-{self.runs_completed}")
 
             def fail_random_node():
-                alive = [n.node_id for n in flux.graph.nodes if not n.drained]
-                if not alive:
+                alive = np.flatnonzero(~flux.graph._drained_mask)
+                if not alive.size:
                     return
                 victim = int(fail_rng.choice(alive))
                 flux.fail_node(victim)

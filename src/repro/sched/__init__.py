@@ -27,7 +27,7 @@ rebuilds that stack:
   policy comparison at emulated 4000-node scale.
 """
 
-from repro.sched.resources import Allocation, Node, ResourceGraph, summit_like, lassen_like
+from repro.sched.resources import Allocation, ResourceGraph, summit_like, lassen_like
 from repro.sched.jobspec import JobSpec, JobState, JobRecord
 from repro.sched.matcher import Matcher, MatchPolicy, MatchStats
 from repro.sched.queue import QueueManager, QueueMode
@@ -38,7 +38,6 @@ from repro.sched.bundling import bundle_gpu_jobs, BundleExpander
 
 __all__ = [
     "Allocation",
-    "Node",
     "ResourceGraph",
     "summit_like",
     "lassen_like",

@@ -36,7 +36,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro import trace
 from repro.sched.jobspec import JobSpec
-from repro.sched.resources import Allocation, Node, ResourceGraph
+from repro.sched.resources import Allocation, ResourceGraph
 
 __all__ = ["MatchPolicy", "MatchStats", "Matcher"]
 
@@ -208,12 +208,7 @@ class Matcher:
 
     def _match(self, spec: JobSpec) -> Optional[Allocation]:
         self.stats.calls += 1
-        if spec.exclusive:
-            placement = self._match_exclusive(spec)
-        elif spec.nnodes > 1:
-            placement = self._match_multi_node(spec)
-        else:
-            placement = self._match_single_node(spec)
+        placement = self._placement(spec)
         if placement is None:
             self.stats.failed += 1
             return None
@@ -225,12 +220,8 @@ class Matcher:
 
     # --- policy internals ----------------------------------------------------
 
-    def _pick_cost(self, node: Node, ncores: int, ngpus: int) -> None:
-        """Claiming enumerates only the chosen resources."""
-        self.stats.vertices_visited += ncores + ngpus
-
-    def _candidate_nodes(self, spec: JobSpec) -> List[Node]:
-        """Feasible nodes under the current policy's traversal rule.
+    def _candidate_nodes(self, spec: JobSpec) -> Sequence[int]:
+        """Feasible node ids under the current policy's traversal rule.
 
         Feasibility is computed vectorized for speed, but the visit
         counter charges exactly what the equivalent graph walk would:
@@ -251,9 +242,9 @@ class Matcher:
                 self.stats.partitions_skipped += skipped
             else:
                 ids = graph.feasible_ids(spec.ncores, spec.ngpus, spec.exclusive)
-                self.stats.vertices_visited += len(graph.nodes)  # every node checked
+                self.stats.vertices_visited += len(graph)  # every node checked
             self.stats.vertices_visited += len(ids) * (subtree - 1)  # rank feasible subtrees
-            return [graph.nodes[i] for i in ids]
+            return ids
         if self.partitioned:
             ids, scanned, skipped = graph.first_feasible_partitioned(
                 self._rr_cursor, spec.nnodes, spec.ncores, spec.ngpus, spec.exclusive
@@ -270,43 +261,32 @@ class Matcher:
             # multi-node hit must not rotate the cursor, or a string of
             # failed attempts walks it past the few feasible nodes and
             # the next feasible job starts scanning from the wrong spot.
-            self._rr_cursor = (ids[-1] + 1) % len(graph.nodes)
-        return [graph.nodes[i] for i in ids]
+            self._rr_cursor = (ids[-1] + 1) % len(graph)
+        return ids
 
-    def _match_single_node(self, spec: JobSpec) -> Optional[List[Tuple[int, List[int], List[int]]]]:
-        candidates = self._candidate_nodes(spec)
-        if not candidates:
-            return None
-        node = candidates[0]
-        cores, gpus = node.pick(spec.ncores, spec.ngpus)
-        self._pick_cost(node, len(cores), len(gpus))
-        return [(node.node_id, cores, gpus)]
+    def _placement(self, spec: JobSpec) -> Optional[List[Tuple[int, List[int], List[int]]]]:
+        """Cores and GPUs on the first ``spec.nnodes`` candidate nodes.
 
-    def _match_multi_node(self, spec: JobSpec) -> Optional[List[Tuple[int, List[int], List[int]]]]:
-        candidates = self._candidate_nodes(spec)
-        if len(candidates) < spec.nnodes:
+        Claiming enumerates only the chosen resources, so each node
+        charges one visit per core and GPU it hands out.
+        """
+        ids = self._candidate_nodes(spec)
+        if len(ids) < spec.nnodes:
             return None
+        graph = self.graph
         placement = []
-        for node in candidates[: spec.nnodes]:
-            cores, gpus = node.pick(spec.ncores, spec.ngpus)
-            self._pick_cost(node, len(cores), len(gpus))
-            placement.append((node.node_id, cores, gpus))
-        return placement
-
-    def _match_exclusive(self, spec: JobSpec) -> Optional[List[Tuple[int, List[int], List[int]]]]:
-        candidates = self._candidate_nodes(spec)
-        if len(candidates) < spec.nnodes:
-            return None
-        placement = []
-        for node in candidates[: spec.nnodes]:
-            cores = node.free_core_ids()
-            gpus = node.free_gpu_ids()
-            # Exclusive means "the whole node", but the node must still
-            # cover the per-node request — a feasibility mask computed
-            # for shared mode (or an undersized node) would otherwise
-            # hand the job fewer cores/GPUs than it asked for.
-            if len(cores) < spec.ncores or len(gpus) < spec.ngpus:
-                return None
-            self._pick_cost(node, len(cores), len(gpus))
-            placement.append((node.node_id, cores, gpus))
+        for node_id in map(int, ids[: spec.nnodes]):
+            if spec.exclusive:
+                cores = graph.free_core_ids(node_id)
+                gpus = graph.free_gpu_ids(node_id)
+                # Exclusive means "the whole node", but the node must
+                # still cover the per-node request — a feasibility mask
+                # computed for shared mode (or an undersized node) would
+                # otherwise hand the job fewer cores/GPUs than it asked for.
+                if len(cores) < spec.ncores or len(gpus) < spec.ngpus:
+                    return None
+            else:
+                cores, gpus = graph.pick(node_id, spec.ncores, spec.ngpus)
+            self.stats.vertices_visited += len(cores) + len(gpus)
+            placement.append((node_id, cores, gpus))
         return placement

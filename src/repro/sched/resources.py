@@ -2,19 +2,20 @@
 
 The matcher's cost model depends on the graph's shape — "R essentially
 traverses the resource graph in its entirety for each job" (§5.2) — so
-nodes expose both cheap feasibility checks (free counts) and explicit
-per-resource enumeration (which is what makes exhaustive ranking
-expensive and is counted in :class:`~repro.sched.matcher.MatchStats`).
+the graph exposes both cheap feasibility checks (free counts) and
+explicit per-resource enumeration (which is what makes exhaustive
+ranking expensive and is counted in
+:class:`~repro.sched.matcher.MatchStats`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Node", "Allocation", "ResourceGraph", "summit_like", "lassen_like"]
+__all__ = ["Allocation", "ResourceGraph", "summit_like", "lassen_like"]
 
 
 class ResourceError(RuntimeError):
@@ -47,127 +48,53 @@ class Allocation:
         return [nid for nid, _, _ in self.items]
 
 
-class Node:
-    """One compute node: ``ncores`` CPU cores and ``ngpus`` GPUs.
+def _low_ids(mask: int, limit: int) -> List[int]:
+    """Up to ``limit`` set-bit positions of ``mask``, lowest first."""
+    ids: List[int] = []
+    while mask and len(ids) < limit:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
-    Cores are split evenly across ``nsockets`` sockets; core ids are
-    global within the node (0..ncores-1), socket s owning the contiguous
-    block ``[s*ncores/nsockets, (s+1)*ncores/nsockets)``. GPUs are
-    associated with the socket ``gpu_id * nsockets // ngpus`` — close
-    enough to Summit's topology to express the paper's affinity rules
-    (simulation cores share cache with their GPU; analysis cores sit
-    nearest the PCIe bus, i.e. lowest ids on the GPU's socket).
-    """
 
-    __slots__ = ("node_id", "ncores", "ngpus", "nsockets", "_core_free", "_gpu_free",
-                 "free_cores", "free_gpus", "drained")
-
-    def __init__(self, node_id: int, ncores: int, ngpus: int, nsockets: int = 2) -> None:
-        if ncores < 1 or ngpus < 0 or nsockets < 1 or ncores % nsockets:
-            raise ResourceError(
-                f"bad node shape: ncores={ncores}, ngpus={ngpus}, nsockets={nsockets}"
-            )
-        self.node_id = node_id
-        self.ncores = ncores
-        self.ngpus = ngpus
-        self.nsockets = nsockets
-        self._core_free = [True] * ncores
-        self._gpu_free = [True] * ngpus
-        self.free_cores = ncores
-        self.free_gpus = ngpus
-        self.drained = False
-
-    # --- feasibility (cheap, count-based) -------------------------------
-
-    def can_fit(self, ncores: int, ngpus: int) -> bool:
-        return (not self.drained) and self.free_cores >= ncores and self.free_gpus >= ngpus
-
-    @property
-    def vacant(self) -> bool:
-        return self.free_cores == self.ncores and self.free_gpus == self.ngpus
-
-    # --- enumeration (explicit, counted by the matcher) -------------------
-
-    def subtree_size(self) -> int:
-        """Vertices under this node: sockets + cores + GPUs + itself."""
-        return 1 + self.nsockets + self.ncores + self.ngpus
-
-    def free_core_ids(self) -> List[int]:
-        return [i for i, free in enumerate(self._core_free) if free]
-
-    def free_gpu_ids(self) -> List[int]:
-        return [i for i, free in enumerate(self._gpu_free) if free]
-
-    def socket_of_core(self, core_id: int) -> int:
-        return core_id // (self.ncores // self.nsockets)
-
-    def socket_of_gpu(self, gpu_id: int) -> int:
-        return gpu_id * self.nsockets // max(self.ngpus, 1)
-
-    # --- claim/release ------------------------------------------------------
-
-    def pick(self, ncores: int, ngpus: int) -> Tuple[List[int], List[int]]:
-        """Choose lowest-id free cores/GPUs with GPU-socket affinity.
-
-        When GPUs are requested, cores are taken from the first GPU's
-        socket when possible (the "share cache with the simulation" rule);
-        remaining demand falls back to any free core.
-        """
-        if not self.can_fit(ncores, ngpus):
-            raise ResourceError(f"node {self.node_id} cannot fit {ncores}c/{ngpus}g")
-        gpu_ids = self.free_gpu_ids()[:ngpus]
-        core_ids: List[int] = []
-        if gpu_ids:
-            want_socket = self.socket_of_gpu(gpu_ids[0])
-            same = [c for c in self.free_core_ids() if self.socket_of_core(c) == want_socket]
-            core_ids = same[:ncores]
-        if len(core_ids) < ncores:
-            chosen = set(core_ids)
-            for c in self.free_core_ids():
-                if len(core_ids) >= ncores:
-                    break
-                if c not in chosen:
-                    core_ids.append(c)
-                    chosen.add(c)
-        return core_ids, gpu_ids
-
-    def claim(self, core_ids: Sequence[int], gpu_ids: Sequence[int]) -> None:
-        for c in core_ids:
-            if not self._core_free[c]:
-                raise ResourceError(f"core {c} on node {self.node_id} already claimed")
-        for g in gpu_ids:
-            if not self._gpu_free[g]:
-                raise ResourceError(f"gpu {g} on node {self.node_id} already claimed")
-        for c in core_ids:
-            self._core_free[c] = False
-        for g in gpu_ids:
-            self._gpu_free[g] = False
-        self.free_cores -= len(core_ids)
-        self.free_gpus -= len(gpu_ids)
-
-    def release(self, core_ids: Sequence[int], gpu_ids: Sequence[int]) -> None:
-        for c in core_ids:
-            if self._core_free[c]:
-                raise ResourceError(f"core {c} on node {self.node_id} double-released")
-        for g in gpu_ids:
-            if self._gpu_free[g]:
-                raise ResourceError(f"gpu {g} on node {self.node_id} double-released")
-        for c in core_ids:
-            self._core_free[c] = True
-        for g in gpu_ids:
-            self._gpu_free[g] = True
-        self.free_cores += len(core_ids)
-        self.free_gpus += len(gpu_ids)
+def _toggled(mask: int, ids: Sequence[int], limit: int, claim: bool,
+             kind: str, node_id: int) -> int:
+    """``mask`` with each of ``ids`` flipped: free → claimed when
+    ``claim``, claimed → free otherwise. A repeated id fails its second
+    flip, so it raises like a double claim."""
+    for i in ids:
+        if not 0 <= i < limit:
+            raise ResourceError(f"{kind} {i} out of range on node {node_id}")
+        bit = 1 << int(i)
+        if bool(mask & bit) != claim:
+            raise ResourceError(f"{kind} {i} on node {node_id} "
+                                + ("already claimed" if claim else "double-released"))
+        mask ^= bit
+    return mask
 
 
 class ResourceGraph:
-    """The cluster: an ordered list of nodes plus aggregate accounting.
+    """The cluster: ``nnodes`` identical nodes plus aggregate accounting.
 
-    Per-node free counts are mirrored in NumPy arrays so the matcher can
-    run feasibility scans vectorized at 4000-node scale. The arrays are
-    maintained only by the graph-level operations (:meth:`claim`,
-    :meth:`release`, :meth:`drain`); mutating a :class:`Node` directly
-    bypasses them and is unsupported.
+    Each node has ``cores_per_node`` CPU cores split evenly across
+    ``nsockets`` sockets (socket s owns the contiguous core block
+    ``[s*ncores/nsockets, (s+1)*ncores/nsockets)``) and
+    ``gpus_per_node`` GPUs, GPU g sitting on socket
+    ``g * nsockets // ngpus`` — close enough to Summit's topology to
+    express the paper's affinity rules (simulation cores share cache
+    with their GPU; analysis cores sit nearest the PCIe bus, i.e. lowest
+    ids on the GPU's socket).
+
+    Node state is held once, by the graph: per node a free-core and a
+    free-GPU bitmask (bit i set means id i is free), the drained flag in
+    ``_drained_mask``, and the free counts ``_fc``/``_fg`` as NumPy
+    arrays so the matcher can run feasibility scans vectorized at
+    4000-node scale. :meth:`claim` and :meth:`release` are the only
+    writers of masks and counts, and they update both in one place;
+    :meth:`drain`/:meth:`undrain` are the only writers of the drained
+    flag. Per-node reads take a node id: :meth:`free_core_ids`,
+    :meth:`free_gpu_ids` and :meth:`pick`.
 
     On top of the flat arrays the graph keeps a *partition index*:
     nodes are grouped into fixed-size partitions (``partition_size``)
@@ -188,13 +115,27 @@ class ResourceGraph:
             raise ResourceError("graph needs at least one node")
         if partition_size < 1:
             raise ResourceError("partition_size must be >= 1")
-        self.nodes = [Node(i, cores_per_node, gpus_per_node, nsockets) for i in range(nnodes)]
+        if (cores_per_node < 1 or gpus_per_node < 0 or nsockets < 1
+                or cores_per_node % nsockets):
+            raise ResourceError(
+                f"bad node shape: ncores={cores_per_node}, ngpus={gpus_per_node}, "
+                f"nsockets={nsockets}"
+            )
         self.cores_per_node = cores_per_node
         self.gpus_per_node = gpus_per_node
+        self.nsockets = nsockets
+        self._core_mask = [(1 << cores_per_node) - 1] * nnodes
+        self._gpu_mask = [(1 << gpus_per_node) - 1] * nnodes
+        per_socket = cores_per_node // nsockets
+        socket_cores = [((1 << per_socket) - 1) << (s * per_socket) for s in range(nsockets)]
+        # Cores on each GPU's socket: where pick() looks first.
+        self._gpu_socket_cores = [socket_cores[g * nsockets // gpus_per_node]
+                                  for g in range(gpus_per_node)]
         self._fc = np.full(nnodes, cores_per_node, dtype=np.int32)
         self._fg = np.full(nnodes, gpus_per_node, dtype=np.int32)
         self._drained_mask = np.zeros(nnodes, dtype=bool)
-        self.node_subtree_size = self.nodes[0].subtree_size()
+        # Vertices under one node: itself + sockets + cores + GPUs.
+        self.node_subtree_size = 1 + nsockets + cores_per_node + gpus_per_node
         # --- partition index -------------------------------------------
         self.partition_size = partition_size
         self.npartitions = (nnodes + partition_size - 1) // partition_size
@@ -207,20 +148,46 @@ class ResourceGraph:
              for p in range(self.npartitions)], dtype=np.int32)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._core_mask)
 
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self.nodes)
+    # --- per-node reads ----------------------------------------------------
+
+    def free_core_ids(self, node_id: int) -> List[int]:
+        return _low_ids(self._core_mask[node_id], self.cores_per_node)
+
+    def free_gpu_ids(self, node_id: int) -> List[int]:
+        return _low_ids(self._gpu_mask[node_id], self.gpus_per_node)
+
+    def pick(self, node_id: int, ncores: int, ngpus: int) -> Tuple[List[int], List[int]]:
+        """Choose lowest-id free cores/GPUs on one node with GPU-socket affinity.
+
+        When GPUs are requested, cores are taken from the first GPU's
+        socket when possible (the "share cache with the simulation" rule);
+        remaining demand falls back to the lowest free cores elsewhere.
+        """
+        if (self._drained_mask[node_id] or self._fc[node_id] < ncores
+                or self._fg[node_id] < ngpus):
+            raise ResourceError(f"node {node_id} cannot fit {ncores}c/{ngpus}g")
+        gpu_ids = _low_ids(self._gpu_mask[node_id], ngpus)
+        free = self._core_mask[node_id]
+        core_ids: List[int] = []
+        if gpu_ids:
+            socket = self._gpu_socket_cores[gpu_ids[0]]
+            core_ids = _low_ids(free & socket, ncores)
+            free &= ~socket
+        if len(core_ids) < ncores:
+            core_ids += _low_ids(free, ncores - len(core_ids))
+        return core_ids, gpu_ids
 
     # --- aggregate accounting (used by the occupancy profiler) -----------------
 
     @property
     def total_cores(self) -> int:
-        return len(self.nodes) * self.cores_per_node
+        return len(self) * self.cores_per_node
 
     @property
     def total_gpus(self) -> int:
-        return len(self.nodes) * self.gpus_per_node
+        return len(self) * self.gpus_per_node
 
     @property
     def free_cores(self) -> int:
@@ -240,7 +207,7 @@ class ResourceGraph:
 
     def total_vertices(self) -> int:
         """All vertices in the graph (the matcher's worst-case traversal)."""
-        return 1 + sum(n.subtree_size() for n in self.nodes)
+        return 1 + len(self) * self.node_subtree_size
 
     # --- partition index maintenance ------------------------------------
 
@@ -249,7 +216,7 @@ class ResourceGraph:
 
     def _partition_bounds(self, p: int) -> Tuple[int, int]:
         lo = p * self.partition_size
-        return lo, min(lo + self.partition_size, len(self.nodes))
+        return lo, min(lo + self.partition_size, len(self))
 
     def _refresh_partition(self, p: int) -> None:
         """Recompute one partition's summaries from the flat arrays.
@@ -267,10 +234,6 @@ class ResourceGraph:
             (fc == self.cores_per_node) & (fg == self.gpus_per_node)
         )
 
-    def _refresh_partitions_of(self, node_ids) -> None:
-        for p in {nid // self.partition_size for nid in node_ids}:
-            self._refresh_partition(p)
-
     def partition_feasible(self, p: int, ncores: int, ngpus: int,
                            exclusive: bool = False) -> bool:
         """Watermark check: could *any* node in partition ``p`` host one
@@ -285,30 +248,46 @@ class ResourceGraph:
     # --- allocation lifecycle ------------------------------------------------
 
     def claim(self, placement: Sequence[Tuple[int, Sequence[int], Sequence[int]]]) -> Allocation:
-        """Claim an explicit placement; all-or-nothing."""
-        claimed: List[Tuple[int, Sequence[int], Sequence[int]]] = []
-        try:
-            for node_id, cores, gpus in placement:
-                self.nodes[node_id].claim(cores, gpus)
-                claimed.append((node_id, cores, gpus))
-        except ResourceError:
-            for node_id, cores, gpus in claimed:
-                self.nodes[node_id].release(cores, gpus)
-            raise
-        for node_id, cores, gpus in placement:
-            self._fc[node_id] -= len(cores)
-            self._fg[node_id] -= len(gpus)
-        self._refresh_partitions_of(nid for nid, _, _ in placement)
+        """Claim an explicit placement; all-or-nothing.
+
+        Every id is checked before anything changes: a node or resource
+        id out of range, an id repeated within the placement, or one
+        already claimed raises :class:`ResourceError` and leaves the
+        graph untouched.
+        """
+        self._flip(placement, claim=True)
         return Allocation(
             items=tuple((nid, tuple(c), tuple(g)) for nid, c, g in placement)
         )
 
     def release(self, alloc: Allocation) -> None:
-        for node_id, cores, gpus in alloc.items:
-            self.nodes[node_id].release(cores, gpus)
-            self._fc[node_id] += len(cores)
-            self._fg[node_id] += len(gpus)
-        self._refresh_partitions_of(nid for nid, _, _ in alloc.items)
+        """Free an allocation; all-or-nothing like :meth:`claim`."""
+        self._flip(alloc.items, claim=False)
+
+    def _flip(self, items, claim: bool) -> None:
+        """Toggle the ids in ``items`` from free to claimed (or back).
+
+        New masks are built per node first and stored only once every id
+        checks out, so a bad id anywhere leaves masks, counts and
+        watermarks as they were.
+        """
+        masks = {}
+        for node_id, cores, gpus in items:
+            if not 0 <= node_id < len(self):
+                raise ResourceError(f"node {node_id} out of range")
+            cmask, gmask = masks.get(node_id) or (self._core_mask[node_id],
+                                                  self._gpu_mask[node_id])
+            masks[node_id] = (
+                _toggled(cmask, cores, self.cores_per_node, claim, "core", node_id),
+                _toggled(gmask, gpus, self.gpus_per_node, claim, "gpu", node_id),
+            )
+        for node_id, (cmask, gmask) in masks.items():
+            self._core_mask[node_id] = cmask
+            self._gpu_mask[node_id] = gmask
+            self._fc[node_id] = cmask.bit_count()
+            self._fg[node_id] = gmask.bit_count()
+        for p in {nid // self.partition_size for nid in masks}:
+            self._refresh_partition(p)
 
     # --- vectorized feasibility (the matcher's fast path) ------------------
 
@@ -322,7 +301,7 @@ class ResourceGraph:
         """
         if exclusive:
             if ncores > self.cores_per_node or ngpus > self.gpus_per_node:
-                return np.zeros(len(self.nodes), dtype=bool)
+                return np.zeros(len(self), dtype=bool)
             mask = (self._fc == self.cores_per_node) & (self._fg == self.gpus_per_node)
         else:
             mask = (self._fc >= ncores) & (self._fg >= ngpus)
@@ -348,7 +327,7 @@ class ResourceGraph:
         what makes the first-match policy cheap on a lightly loaded
         machine.
         """
-        n = len(self.nodes)
+        n = len(self)
         if exclusive and (ncores > self.cores_per_node or ngpus > self.gpus_per_node):
             return [], 0
         found: List[int] = []
@@ -395,7 +374,7 @@ class ResourceGraph:
         scan would return, because the skip rule only drops partitions
         with no feasible node at all.
         """
-        n = len(self.nodes)
+        n = len(self)
         if exclusive and (ncores > self.cores_per_node or ngpus > self.gpus_per_node):
             return [], 0, 0
         psize = self.partition_size
@@ -446,7 +425,7 @@ class ResourceGraph:
             part_ok = self._part_nvacant > 0
         else:
             part_ok = (self._part_max_fc >= ncores) & (self._part_max_fg >= ngpus)
-        n = len(self.nodes)
+        n = len(self)
         psize = self.partition_size
         mask = self.feasible_mask(ncores, ngpus, exclusive)
         mask &= np.repeat(part_ok, psize)[:n]
@@ -460,17 +439,15 @@ class ResourceGraph:
 
     def drain(self, node_id: int) -> None:
         """Mark a node failed/draining: no new work lands on it (§4.4)."""
-        self.nodes[node_id].drained = True
         self._drained_mask[node_id] = True
         self._refresh_partition(self.partition_of(node_id))
 
     def undrain(self, node_id: int) -> None:
-        self.nodes[node_id].drained = False
         self._drained_mask[node_id] = False
         self._refresh_partition(self.partition_of(node_id))
 
     def drained_nodes(self) -> List[int]:
-        return [n.node_id for n in self.nodes if n.drained]
+        return np.flatnonzero(self._drained_mask).tolist()
 
 
 def summit_like(nnodes: int, partition_size: int = 256) -> ResourceGraph:

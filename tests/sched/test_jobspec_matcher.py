@@ -122,7 +122,7 @@ class TestMatcherBasics:
         alloc = m.match(JobSpec(name="bundle", exclusive=True))
         assert alloc is not None
         dirty = {nid for nid, _, _ in alloc.items}
-        assert g.nodes[list(dirty)[0]].vacant is False  # it claimed the clean one
+        assert not g.feasible_mask(0, 0, exclusive=True)[list(dirty)[0]]  # it claimed the clean one
 
     @pytest.mark.parametrize("policy", list(MatchPolicy))
     def test_drained_node_not_used(self, policy):

@@ -54,7 +54,7 @@ def random_graph(rng):
 def clone_graph(graph):
     """A fresh graph with the same shape (for mirrored-stream oracles)."""
     return ResourceGraph(
-        nnodes=len(graph.nodes),
+        nnodes=len(graph),
         cores_per_node=graph.cores_per_node,
         gpus_per_node=graph.gpus_per_node,
         partition_size=graph.partition_size,
@@ -101,11 +101,10 @@ def assert_within_capacity(graph, live_allocs):
             for g in gpus:
                 assert (node_id, g) not in claimed_gpus
                 claimed_gpus[(node_id, g)] = True
-            node = graph.nodes[node_id]
             in_use_here = sum(1 for (n, _) in claimed_cores if n == node_id)
-            assert in_use_here <= node.ncores
+            assert in_use_here <= graph.cores_per_node
             gpus_here = sum(1 for (n, _) in claimed_gpus if n == node_id)
-            assert gpus_here <= node.ngpus
+            assert gpus_here <= graph.gpus_per_node
 
 
 @pytest.mark.parametrize("policy", list(MatchPolicy))
@@ -126,10 +125,10 @@ def test_no_placement_exceeds_node_capacity(policy, seed):
     for alloc in live:
         matcher.release(alloc)
     # Conservation: everything released → graph fully free again.
-    assert sum(len(n.free_core_ids()) for n in graph.nodes) == \
-        len(graph.nodes) * graph.cores_per_node
-    assert sum(len(n.free_gpu_ids()) for n in graph.nodes) == \
-        len(graph.nodes) * graph.gpus_per_node
+    assert sum(len(graph.free_core_ids(i)) for i in range(len(graph))) == \
+        len(graph) * graph.cores_per_node
+    assert sum(len(graph.free_gpu_ids(i)) for i in range(len(graph))) == \
+        len(graph) * graph.gpus_per_node
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -141,7 +140,7 @@ def test_rr_cursor_advances_only_on_full_placement(seed):
         before = matcher._rr_cursor
         alloc = matcher.match(random_spec(rng, graph, tight=True))
         after = matcher._rr_cursor
-        assert 0 <= after < len(graph.nodes)
+        assert 0 <= after < len(graph)
         if alloc is None:
             # The PR 4 invariant: a failed (or partially feasible) match
             # must not rotate the cursor past the few feasible nodes.
@@ -294,7 +293,7 @@ def test_partitioned_first_match_visit_bound(seed):
     graph_flat = clone_graph(graph)
     part = Matcher(graph, policy=MatchPolicy.FIRST_MATCH, partitioned=True)
     flat = Matcher(graph_flat, policy=MatchPolicy.FIRST_MATCH, partitioned=False)
-    n = len(graph.nodes)
+    n = len(graph)
     for _ in range(60):
         spec = random_spec(rng, graph, tight=True)
         before = part.stats.vertices_visited
